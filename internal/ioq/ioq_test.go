@@ -647,18 +647,13 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			base := uint64(w * perWriter)
-			var last *Future
-			var lastBuf []byte
+			futures := make([]*Future, 0, rounds)
 			for r := 0; r < rounds; r++ {
 				n := rng.Intn(4) + 1
 				off := uint64(rng.Intn(perWriter - n))
 				buf := make([]byte, n*blockSize)
 				rng.Read(buf)
-				f := q.SubmitWrite(base+off, buf)
-				if r == rounds-1 {
-					last, lastBuf = f, buf
-					_ = lastBuf
-				}
+				futures = append(futures, q.SubmitWrite(base+off, buf))
 				if rng.Intn(5) == 0 {
 					if err := q.Flush().Wait(); err != nil {
 						t.Error(err)
@@ -667,10 +662,14 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 				}
 			}
 			// Overlapping async writes within a region are this writer's
-			// own; serialize the tail so the final content is defined.
-			if err := last.Wait(); err != nil {
-				t.Error(err)
-				return
+			// own, and two workers may run batches of one queue at once:
+			// only barriers order them. Drain every one of them, not just
+			// the last submitted, so none can land after the full write.
+			for _, f := range futures {
+				if err := f.Wait(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			full := make([]byte, perWriter*blockSize)
 			rng2 := rand.New(rand.NewSource(int64(w) + 1000))

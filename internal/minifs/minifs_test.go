@@ -458,3 +458,32 @@ func BenchmarkFileSequentialWrite(b *testing.B) {
 		}
 	}
 }
+
+// TestMountRejectsCorruptSuperblock overwrites each superblock geometry
+// field with 0 and with 2^40: Mount must return ErrNotFormatted, never
+// panic or size a read from the bad value.
+func TestMountRejectsCorruptSuperblock(t *testing.T) {
+	fields := []string{
+		"blockSize", "totalBlocks", "inodeCount", "jdescStart", "jdescBlocks", "jdataStart",
+		"jdataBlocks", "bitmapStart", "bitmapBlocks", "inodeStart", "inodeBlocks", "dataStart",
+	}
+	for i, field := range fields {
+		for _, v := range []uint64{0, 1 << 40} {
+			dev := storage.NewMemDevice(blockSize, 256)
+			if _, err := Format(dev, 64); err != nil {
+				t.Fatal(err)
+			}
+			sb := make([]byte, blockSize)
+			if err := dev.ReadBlock(0, sb); err != nil {
+				t.Fatal(err)
+			}
+			putUint64(sb[8+8*i:], v)
+			if err := dev.WriteBlock(0, sb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Mount(dev); !errors.Is(err, ErrNotFormatted) {
+				t.Errorf("%s = %d: Mount err = %v, want ErrNotFormatted", field, v, err)
+			}
+		}
+	}
+}

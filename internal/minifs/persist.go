@@ -3,6 +3,7 @@ package minifs
 import (
 	"fmt"
 	"hash/crc64"
+	"math"
 	"sort"
 	"time"
 
@@ -370,10 +371,14 @@ func (fs *FS) load() error {
 	if getUint64(buf) != magic {
 		return ErrNotFormatted
 	}
+	inodeCount := getUint64(buf[24:])
+	if inodeCount <= rootIno || inodeCount > math.MaxUint32 {
+		return fmt.Errorf("%w: inode count %d", ErrNotFormatted, inodeCount)
+	}
 	fs.sb = superblock{
 		blockSize:    int(getUint64(buf[8:])),
 		totalBlocks:  getUint64(buf[16:]),
-		inodeCount:   uint32(getUint64(buf[24:])),
+		inodeCount:   uint32(inodeCount),
 		jdescStart:   getUint64(buf[32:]),
 		jdescBlocks:  getUint64(buf[40:]),
 		jdataStart:   getUint64(buf[48:]),
@@ -390,8 +395,8 @@ func (fs *FS) load() error {
 	if fs.sb.totalBlocks != fs.dev.NumBlocks() {
 		return fmt.Errorf("%w: size mismatch", ErrNotFormatted)
 	}
-	if fs.sb.dataStart <= fs.sb.inodeStart || fs.sb.dataStart >= fs.sb.totalBlocks {
-		return fmt.Errorf("%w: bad region layout", ErrNotFormatted)
+	if err := fs.sb.validate(); err != nil {
+		return err
 	}
 
 	if err := fs.replayJournal(); err != nil {
@@ -431,6 +436,41 @@ func (fs *FS) load() error {
 	}
 	if err := fs.unmarshalDir(dirBytes); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validate checks the superblock geometry before any of it sizes a read or
+// an allocation: the regions follow the superblock in layout order without
+// overlapping, all inside the device, and each is big enough for what
+// Mount and Sync put in it. blockSize and totalBlocks must already match
+// the device.
+func (sb *superblock) validate() error {
+	bs := uint64(sb.blockSize)
+	total := sb.totalBlocks
+	next := uint64(1)
+	for _, r := range [...]struct{ start, n uint64 }{
+		{sb.jdescStart, sb.jdescBlocks},
+		{sb.jdataStart, sb.jdataBlocks},
+		{sb.bitmapStart, sb.bitmapBlocks},
+		{sb.inodeStart, sb.inodeBlocks},
+	} {
+		if r.start < next || r.start > total || r.n > total-r.start {
+			return fmt.Errorf("%w: bad region layout", ErrNotFormatted)
+		}
+		next = r.start + r.n
+	}
+	switch {
+	case sb.dataStart < next || sb.dataStart >= total:
+		return fmt.Errorf("%w: bad region layout", ErrNotFormatted)
+	case sb.jdescBlocks*bs < jdescHeaderLen+8*sb.jdataBlocks:
+		return fmt.Errorf("%w: journal descriptor too small", ErrNotFormatted)
+	case sb.jdataBlocks < sb.bitmapBlocks+sb.inodeBlocks:
+		return fmt.Errorf("%w: journal too small", ErrNotFormatted)
+	case sb.bitmapBlocks*bs*8 < total-sb.dataStart:
+		return fmt.Errorf("%w: bitmap too small", ErrNotFormatted)
+	case uint64(sb.inodeCount)*inodeSize > sb.inodeBlocks*bs:
+		return fmt.Errorf("%w: inode table too small", ErrNotFormatted)
 	}
 	return nil
 }

@@ -18,6 +18,9 @@ type XTS struct {
 	dataCipher  cipher.Block
 	tweakCipher cipher.Block
 	keySize     int
+	// kernel is the multi-block AES-NI path, nil where the build or the
+	// CPU has none. Both paths produce the same ciphertext.
+	kernel *xtsKernel
 }
 
 var _ SectorCipher = (*XTS)(nil)
@@ -38,7 +41,12 @@ func NewXTS(key []byte) (*XTS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: XTS tweak cipher: %w", err)
 	}
-	return &XTS{dataCipher: dataCipher, tweakCipher: tweakCipher, keySize: len(key)}, nil
+	return &XTS{
+		dataCipher:  dataCipher,
+		tweakCipher: tweakCipher,
+		keySize:     len(key),
+		kernel:      newXTSKernel(key[:half]),
+	}, nil
 }
 
 // NewXTSPlain64 builds the cipher dm-crypt configures as "aes-xts-plain64"
@@ -70,9 +78,11 @@ func (x *XTS) process(sector uint64, dst, src []byte, encrypt bool) error {
 	if err := checkSectorBuffers(dst, src); err != nil {
 		return err
 	}
-	var tweak [16]byte
-	binary.LittleEndian.PutUint64(tweak[:8], sector)
-	x.tweakCipher.Encrypt(tweak[:], tweak[:])
+	tweak := x.sectorTweak(sector, dst, src)
+	if x.kernel != nil {
+		x.kernel.process(&tweak, dst, src, encrypt)
+		return nil
+	}
 
 	// The tweak is held as two little-endian words so the per-block XORs
 	// and the GF(2^128) multiply run word-wide, and each 16-byte block is
@@ -97,6 +107,23 @@ func (x *XTS) process(sector uint64, dst, src []byte, encrypt bool) error {
 		t0, t1 = gfMulAlpha(t0, t1)
 	}
 	return nil
+}
+
+// sectorTweak returns the plain64 tweak: the tweak cipher applied to the
+// little-endian sector number. It is computed in dst's first block, which
+// then gets src's first block back (dst may alias src): a local buffer
+// would escape through the cipher.Block interface and cost a heap
+// allocation per sector.
+func (x *XTS) sectorTweak(sector uint64, dst, src []byte) (tweak [16]byte) {
+	var first [16]byte
+	copy(first[:], src)
+	d := dst[:16:16]
+	binary.LittleEndian.PutUint64(d[:8], sector)
+	clear(d[8:])
+	x.tweakCipher.Encrypt(d, d)
+	copy(tweak[:], d)
+	copy(d, first[:])
+	return tweak
 }
 
 // gfMulAlpha multiplies the tweak by the primitive element alpha of
