@@ -1,12 +1,27 @@
 GO ?= go
 
-.PHONY: test race bench-smoke bench-json bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 mutexprofile fault-soak
+.PHONY: test race fuzz bench-smoke bench-json bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 mutexprofile fault-soak
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# Coverage-guided fuzzing: every Fuzz* target in the module, FUZZTIME
+# each. Crashers land under the package's testdata/fuzz/, where
+# `go test ./...` replays them. Minimizing a new input is capped at 1s:
+# FuzzMount's inputs are whole images, and the default 60s minimization
+# would eat the fuzzing budget.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for target in $$(cat $$dir/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
+			echo "== $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) \
+				-fuzzminimizetime 1s $$dir; \
+		done; \
+	done
 
 # One iteration of every benchmark: catches benchmarks that rot without
 # paying for real measurement.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -221,14 +222,15 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string, hiddenPasswords
 	// (Sec. IV-C "If different hidden volumes result in the same k,
 	// another random salt will be chosen").
 	var footer *xcrypto.Footer
+	var hiddenIDs []int
 	const saltRetries = 64
 	for try := 0; ; try++ {
 		f, _, err := xcrypto.NewFooter(cfg.Entropy, decoyPassword, cfg.NumVolumes, cfg.KDFIter)
 		if err != nil {
 			return nil, fmt.Errorf("core: creating footer: %w", err)
 		}
-		if !hiddenIndexCollision(f, hiddenPasswords, decoyPassword) {
-			footer = f
+		if ids, ok := hiddenIndexes(f, hiddenPasswords, decoyPassword); ok {
+			footer, hiddenIDs = f, ids
 			break
 		}
 		if try == saltRetries {
@@ -261,17 +263,14 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string, hiddenPasswords
 	// Install verifiers on hidden volumes and cover blocks on dummy
 	// volumes so every non-public volume has exactly one block mapped at
 	// virtual block 0 after setup — indistinguishable states.
-	hiddenIDs := make(map[int]bool, len(hiddenPasswords))
-	for _, pwd := range hiddenPasswords {
-		id := footer.HiddenIndex(pwd)
-		hiddenIDs[id] = true
-		if err := sys.writeVerifier(id, pwd); err != nil {
+	for i, pwd := range hiddenPasswords {
+		if err := sys.writeVerifier(hiddenIDs[i], pwd); err != nil {
 			return nil, err
 		}
 	}
 	noise := make([]byte, dev.BlockSize())
 	for id := 2; id <= cfg.NumVolumes; id++ {
-		if hiddenIDs[id] {
+		if slices.Contains(hiddenIDs, id) {
 			continue
 		}
 		if err := xcrypto.FillNoise(cfg.Entropy, noise); err != nil {
@@ -291,19 +290,22 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string, hiddenPasswords
 	return sys, nil
 }
 
-func hiddenIndexCollision(f *xcrypto.Footer, hiddenPasswords []string, decoyPassword string) bool {
-	seen := make(map[int]bool, len(hiddenPasswords))
+// hiddenIndexes derives each hidden password's volume index under f's PDE
+// salt. It reports false when a hidden password equals the decoy password
+// or two indexes collide.
+func hiddenIndexes(f *xcrypto.Footer, hiddenPasswords []string, decoyPassword string) ([]int, bool) {
+	ids := make([]int, 0, len(hiddenPasswords))
 	for _, pwd := range hiddenPasswords {
 		if pwd == decoyPassword {
-			return true
+			return nil, false
 		}
 		k := f.HiddenIndex(pwd)
-		if seen[k] {
-			return true
+		if slices.Contains(ids, k) {
+			return nil, false
 		}
-		seen[k] = true
+		ids = append(ids, k)
 	}
-	return false
+	return ids, true
 }
 
 // Open loads an existing MobiCeal device. Opening performs mount-time
@@ -483,42 +485,40 @@ func verifierPlain(password string, blockSize int) []byte {
 	return out
 }
 
-// writeVerifier installs the password verifier at virtual block 0 of
-// volume id, encrypted under the password-derived key.
-func (s *System) writeVerifier(id int, password string) error {
+// volumeCrypt returns volume id's thin device and the dm-crypt view of it
+// under the key password derives.
+func (s *System) volumeCrypt(id int, password string) (*dm.Crypt, *thinp.Thin, error) {
 	key, err := s.footer.DeriveKey(password)
 	if err != nil {
-		return fmt.Errorf("core: deriving verifier key: %w", err)
+		return nil, nil, fmt.Errorf("core: deriving volume key: %w", err)
 	}
 	cipher, err := cipherFor(key)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	thin, err := s.pool.Thin(id)
 	if err != nil {
+		return nil, nil, err
+	}
+	return dm.NewCrypt(thin, cipher, s.cfg.Meter), thin, nil
+}
+
+// writeVerifier installs the password verifier at virtual block 0 of
+// volume id, encrypted under the password-derived key.
+func (s *System) writeVerifier(id int, password string) error {
+	crypt, _, err := s.volumeCrypt(id, password)
+	if err != nil {
 		return err
 	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
 	if err := crypt.WriteBlock(0, verifierPlain(password, s.dev.BlockSize())); err != nil {
 		return fmt.Errorf("core: writing verifier: %w", err)
 	}
 	return nil
 }
 
-// checkVerifier reports whether password opens volume id.
-func (s *System) checkVerifier(id int, password string) (bool, error) {
-	key, err := s.footer.DeriveKey(password)
-	if err != nil {
-		return false, err
-	}
-	cipher, err := cipherFor(key)
-	if err != nil {
-		return false, err
-	}
-	thin, err := s.pool.Thin(id)
-	if err != nil {
-		return false, err
-	}
+// checkVerifier reports whether password opens volume id, whose crypt
+// view under password's key is crypt.
+func (s *System) checkVerifier(id int, crypt *dm.Crypt, password string) (bool, error) {
 	mapped, err := s.pool.MappedBlocks(id)
 	if err != nil {
 		return false, err
@@ -526,7 +526,6 @@ func (s *System) checkVerifier(id int, password string) (bool, error) {
 	if mapped == 0 {
 		return false, nil
 	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
 	buf := make([]byte, s.dev.BlockSize())
 	if err := crypt.ReadBlock(0, buf); err != nil {
 		return false, fmt.Errorf("core: reading verifier: %w", err)

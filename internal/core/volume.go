@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mobiceal/internal/dm"
 	"mobiceal/internal/ioq"
 	"mobiceal/internal/minifs"
 	"mobiceal/internal/storage"
@@ -85,15 +84,7 @@ func (v *Volume) Mount() (*minifs.FS, error) {
 // verification happens here: with a wrong password the view decrypts to
 // garbage and Mount fails, exactly like Android FDE's probe-mount.
 func (s *System) OpenPublic(password string) (*Volume, error) {
-	key, err := s.footer.DeriveKey(password)
-	if err != nil {
-		return nil, fmt.Errorf("core: deriving public key: %w", err)
-	}
-	cipher, err := cipherFor(key)
-	if err != nil {
-		return nil, err
-	}
-	thin, err := s.pool.Thin(PublicVolumeID)
+	crypt, thin, err := s.volumeCrypt(PublicVolumeID, password)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +92,7 @@ func (s *System) OpenPublic(password string) (*Volume, error) {
 		sys:  s,
 		id:   PublicVolumeID,
 		mode: ModePublic,
-		dev:  dm.NewCrypt(thin, cipher, s.cfg.Meter),
+		dev:  crypt,
 		thin: thin,
 	}, nil
 }
@@ -110,32 +101,25 @@ func (s *System) OpenPublic(password string) (*Volume, error) {
 // and, on success, returns the hidden volume (minus the verifier block) as
 // a plaintext device. It fails with ErrBadPassword otherwise — the caller
 // cannot distinguish "wrong password" from "there is no hidden volume",
-// which is the point.
+// which is the point. The key is derived once and its crypt view serves
+// both the verifier check and the returned volume, so a right and a wrong
+// password cost the same key-derivation work.
 func (s *System) OpenHidden(password string) (*Volume, error) {
 	if s.cfg.NumVolumes < 2 {
 		return nil, ErrBadPassword
 	}
 	id := s.footer.HiddenIndex(password)
-	ok, err := s.checkVerifier(id, password)
+	crypt, thin, err := s.volumeCrypt(id, password)
+	if err != nil {
+		return nil, err
+	}
+	ok, err := s.checkVerifier(id, crypt, password)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, ErrBadPassword
 	}
-	key, err := s.footer.DeriveKey(password)
-	if err != nil {
-		return nil, fmt.Errorf("core: deriving hidden key: %w", err)
-	}
-	cipher, err := cipherFor(key)
-	if err != nil {
-		return nil, err
-	}
-	thin, err := s.pool.Thin(id)
-	if err != nil {
-		return nil, err
-	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
 	// Virtual block 0 is the verifier; the file system lives from block 1.
 	fsDev, err := storage.NewSliceDevice(crypt, 1, crypt.NumBlocks()-1)
 	if err != nil {
@@ -152,7 +136,11 @@ func (s *System) VerifyHidden(password string) (int, bool) {
 		return -1, false
 	}
 	id := s.footer.HiddenIndex(password)
-	ok, err := s.checkVerifier(id, password)
+	crypt, _, err := s.volumeCrypt(id, password)
+	if err != nil {
+		return -1, false
+	}
+	ok, err := s.checkVerifier(id, crypt, password)
 	if err != nil || !ok {
 		return -1, false
 	}

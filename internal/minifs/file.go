@@ -129,6 +129,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	f.fs.touch(f.ino)
 	bs := uint64(f.fs.sb.blockSize)
 	res := &blockResolver{fs: f.fs, ind: ind, alloc: true, first: uint64(off) / bs}
 	written := 0
@@ -261,6 +262,7 @@ func (f *File) Truncate(size int64) error {
 	if err != nil {
 		return err
 	}
+	f.fs.touch(f.ino)
 	if uint64(size) >= ind.size {
 		ind.size = uint64(size)
 		return nil

@@ -23,9 +23,12 @@
 package minifs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 	"sync"
 
 	"mobiceal/internal/storage"
@@ -61,6 +64,9 @@ const (
 	minBlockSize = 512
 )
 
+// le is the on-disk byte order of every integer field.
+var le = binary.LittleEndian
+
 type superblock struct {
 	blockSize    int
 	totalBlocks  uint64
@@ -84,17 +90,29 @@ type inode struct {
 	dindirect uint64
 }
 
+// dirent is one root-directory entry.
+type dirent struct {
+	name string
+	ino  uint32
+}
+
 // FS is a mounted minifs instance. It caches metadata in memory and
 // persists it on Sync, like a real kernel file system with a dirty cache.
 // FS is safe for concurrent use.
 type FS struct {
-	mu     sync.Mutex
-	dev    storage.Device
-	sb     superblock
-	bitmap []bool // data-region block bitmap, indexed from dataStart
+	mu  sync.Mutex
+	dev storage.Device
+	sb  superblock
+	// bitmap is the data-region block bitmap in its on-disk layout, the
+	// whole bitmap region: bit i%8 of byte i/8 marks block dataStart+i
+	// used. Bits past the last data block stay zero.
+	bitmap []byte
 	inodes []inode
-	dir    map[string]uint32 // root directory: name -> ino
-	cursor uint64            // first-fit allocation cursor (spatial locality)
+	dir    []dirent // root directory, sorted by name
+	cursor uint64   // first-fit allocation cursor (spatial locality)
+	// inoHint is the lowest inode number that may be free: every inode
+	// from rootIno+1 up to it is in use.
+	inoHint uint32
 
 	// Pointer (indirect) blocks are cached dirty in memory and flushed on
 	// Sync, like a kernel FS buffer cache. Without this, every data-block
@@ -109,16 +127,25 @@ type FS struct {
 	freshPtr map[uint64]bool
 
 	// Journal state (persist.go). gen is the journal transaction
-	// generation. lastBitmap and lastInodes hold the marshaled metadata
-	// regions as of the previous Sync, so only changed blocks are
-	// journaled. pendingFree holds blocks freed since the last committed
-	// Sync: they stay unallocatable until the commit lands, because the
-	// last durable metadata generation may still reference them and a
-	// crash must find their contents intact.
+	// generation. lastBitmap and lastInodes hold the metadata regions as
+	// of the last commit, so only changed blocks are journaled; nil means
+	// nothing is committed yet. pendingFree holds blocks freed since the
+	// last committed Sync: they stay unallocatable until the commit
+	// lands, because the last durable metadata generation may still
+	// reference them and a crash must find their contents intact.
 	gen         uint64
 	lastBitmap  []byte
 	lastInodes  []byte
 	pendingFree map[uint64]bool
+	// Dirty tracking: what changed since the last commit, so Sync stages
+	// O(changed) blocks. dirtyInodes holds every inode mutated (Sync's
+	// pointer-block relocation visits only these); dirtyItable the
+	// inode-table blocks holding them; dirtyBitmap the bitmap blocks with
+	// a flipped bit. The sets are consumed only by a successful commit or
+	// data-only flush, so a failed Sync re-stages them.
+	dirtyInodes dirtySet
+	dirtyItable dirtySet
+	dirtyBitmap dirtySet
 	// dirDirty marks the root directory as changed since the last Sync,
 	// so idle Syncs skip the directory rewrite and take the cheap
 	// data-only flush path. replayPending marks a sealed journal whose
@@ -183,18 +210,22 @@ func Format(dev storage.Device, inodeCount uint32) (*FS, error) {
 		return nil, fmt.Errorf("minifs: device too small (%d blocks)", total)
 	}
 	fs := &FS{
-		dev:         dev,
-		sb:          sb,
-		bitmap:      make([]bool, total-sb.dataStart),
-		inodes:      make([]inode, inodeCount),
-		dir:         make(map[string]uint32),
-		ptrCache:    make(map[uint64][]uint64),
-		ptrDirty:    make(map[uint64]bool),
-		freshPtr:    make(map[uint64]bool),
-		pendingFree: make(map[uint64]bool),
+		dev:    dev,
+		sb:     sb,
+		bitmap: make([]byte, sb.bitmapBlocks*uint64(bs)),
+		inodes: make([]inode, inodeCount),
 	}
+	fs.resetState()
 	fs.inodes[rootIno].mode = modeDir
 	fs.dirDirty = true
+	// Nothing is committed yet (lastBitmap and lastInodes are nil): the
+	// first Sync stages every metadata block.
+	for b := range sb.bitmapBlocks {
+		fs.dirtyBitmap.add(b)
+	}
+	for b := range sb.inodeBlocks {
+		fs.dirtyItable.add(b)
+	}
 	if err := fs.writeSuper(); err != nil {
 		return nil, fmt.Errorf("minifs: writing superblock: %w", err)
 	}
@@ -213,6 +244,97 @@ func Mount(dev storage.Device) (*FS, error) {
 	return fs, nil
 }
 
+// resetState initializes the in-memory caches, dirty sets and allocation
+// hints of a freshly formatted or loaded file system.
+func (fs *FS) resetState() {
+	fs.inoHint = rootIno + 1
+	fs.ptrCache = make(map[uint64][]uint64)
+	fs.ptrDirty = make(map[uint64]bool)
+	fs.freshPtr = make(map[uint64]bool)
+	fs.pendingFree = make(map[uint64]bool)
+	fs.dirtyInodes = newDirtySet(uint64(fs.sb.inodeCount))
+	fs.dirtyItable = newDirtySet(fs.sb.inodeBlocks)
+	fs.dirtyBitmap = newDirtySet(fs.sb.bitmapBlocks)
+}
+
+// dirtySet is a set of small integers — inode numbers or region block
+// indexes — changed since the last commit, each listed once.
+type dirtySet struct {
+	in   []bool
+	list []uint64
+}
+
+func newDirtySet(n uint64) dirtySet { return dirtySet{in: make([]bool, n)} }
+
+// add inserts i and reports whether it was new.
+func (s *dirtySet) add(i uint64) bool {
+	if s.in[i] {
+		return false
+	}
+	s.in[i] = true
+	s.list = append(s.list, i)
+	return true
+}
+
+// sorted returns the members in ascending order.
+func (s *dirtySet) sorted() []uint64 {
+	slices.Sort(s.list)
+	return s.list
+}
+
+// clear empties the set.
+func (s *dirtySet) clear() {
+	for _, i := range s.list {
+		s.in[i] = false
+	}
+	s.list = s.list[:0]
+}
+
+// touch records a mutation of inode ino: Sync re-marshals the inode-table
+// blocks holding it and relocates its dirty pointer blocks. Caller holds
+// fs.mu.
+func (fs *FS) touch(ino uint32) {
+	if !fs.dirtyInodes.add(uint64(ino)) {
+		return
+	}
+	bs := uint64(fs.sb.blockSize)
+	lo := uint64(ino) * inodeSize
+	for b := lo / bs; b <= (lo+inodeSize-1)/bs; b++ {
+		fs.dirtyItable.add(b)
+	}
+}
+
+// used reports whether data block i (relative to dataStart) is allocated.
+func (fs *FS) used(i uint64) bool { return fs.bitmap[i/8]&(1<<(i%8)) != 0 }
+
+// setUsed sets data block i's bitmap bit and records its bitmap block as
+// dirty.
+func (fs *FS) setUsed(i uint64, used bool) {
+	if used {
+		fs.bitmap[i/8] |= 1 << (i % 8)
+	} else {
+		fs.bitmap[i/8] &^= 1 << (i % 8)
+	}
+	fs.dirtyBitmap.add(i / 8 / uint64(fs.sb.blockSize))
+}
+
+// usedBlocks counts the allocated data blocks.
+func (fs *FS) usedBlocks() uint64 {
+	var n int
+	for _, b := range fs.bitmap {
+		n += bits.OnesCount8(b)
+	}
+	return uint64(n)
+}
+
+// lookup binary-searches the sorted directory for name, returning its
+// index (or insertion point) and whether it is present.
+func (fs *FS) lookup(name string) (int, bool) {
+	return slices.BinarySearchFunc(fs.dir, name, func(e dirent, name string) int {
+		return strings.Compare(e.name, name)
+	})
+}
+
 // BlockSize returns the file system block size.
 func (fs *FS) BlockSize() int { return fs.sb.blockSize }
 
@@ -220,24 +342,17 @@ func (fs *FS) BlockSize() int { return fs.sb.blockSize }
 func (fs *FS) FreeBlocks() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var n uint64
-	for _, used := range fs.bitmap {
-		if !used {
-			n++
-		}
-	}
-	return n
+	return fs.sb.totalBlocks - fs.sb.dataStart - fs.usedBlocks()
 }
 
 // List returns the sorted names in the root directory.
 func (fs *FS) List() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.dir))
-	for name := range fs.dir {
-		names = append(names, name)
+	names := make([]string, len(fs.dir))
+	for i, e := range fs.dir {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -248,21 +363,22 @@ func (fs *FS) Create(name string) (*File, error) {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.dir[name]; ok {
+	at, ok := fs.lookup(name)
+	if ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	ino := uint32(0)
-	for i := rootIno + 1; i < int(fs.sb.inodeCount); i++ {
-		if fs.inodes[i].mode == modeFree {
-			ino = uint32(i)
-			break
-		}
+	// Lowest free inode, scanning up from the hint.
+	for fs.inoHint < fs.sb.inodeCount && fs.inodes[fs.inoHint].mode != modeFree {
+		fs.inoHint++
 	}
-	if ino == 0 {
+	if fs.inoHint == fs.sb.inodeCount {
 		return nil, fmt.Errorf("%w: out of inodes", ErrNoSpace)
 	}
+	ino := fs.inoHint
+	fs.inoHint++
 	fs.inodes[ino] = inode{mode: modeFile}
-	fs.dir[name] = ino
+	fs.touch(ino)
+	fs.dir = slices.Insert(fs.dir, at, dirent{name: name, ino: ino})
 	fs.dirDirty = true
 	return &File{fs: fs, ino: ino, name: name}, nil
 }
@@ -271,26 +387,29 @@ func (fs *FS) Create(name string) (*File, error) {
 func (fs *FS) Open(name string) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ino, ok := fs.dir[name]
+	at, ok := fs.lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return &File{fs: fs, ino: ino, name: name}, nil
+	return &File{fs: fs, ino: fs.dir[at].ino, name: name}, nil
 }
 
 // Remove deletes a file and frees its blocks.
 func (fs *FS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ino, ok := fs.dir[name]
+	at, ok := fs.lookup(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	ino := fs.dir[at].ino
+	fs.touch(ino)
 	if err := fs.freeInodeBlocks(&fs.inodes[ino]); err != nil {
 		return err
 	}
 	fs.inodes[ino] = inode{}
-	delete(fs.dir, name)
+	fs.inoHint = min(fs.inoHint, ino)
+	fs.dir = slices.Delete(fs.dir, at, at+1)
 	fs.dirDirty = true
 	return nil
 }
@@ -314,7 +433,7 @@ func (fs *FS) CheckIntegrity() error {
 		if abs < fs.sb.dataStart || abs >= fs.sb.totalBlocks {
 			return fmt.Errorf("minifs: inode %d references out-of-range block %d", ino, abs)
 		}
-		if !fs.bitmap[abs-fs.sb.dataStart] {
+		if !fs.used(abs - fs.sb.dataStart) {
 			return fmt.Errorf("minifs: inode %d references free block %d", ino, abs)
 		}
 		return nil
@@ -370,18 +489,12 @@ func (fs *FS) CheckIntegrity() error {
 			return err
 		}
 	}
-	for name, ino := range fs.dir {
-		if int(ino) >= len(fs.inodes) || fs.inodes[ino].mode != modeFile {
-			return fmt.Errorf("minifs: directory entry %q references bad inode %d", name, ino)
+	for _, e := range fs.dir {
+		if int(e.ino) >= len(fs.inodes) || fs.inodes[e.ino].mode != modeFile {
+			return fmt.Errorf("minifs: directory entry %q references bad inode %d", e.name, e.ino)
 		}
 	}
-	used := 0
-	for _, u := range fs.bitmap {
-		if u {
-			used++
-		}
-	}
-	if used != len(owner) {
+	if used := fs.usedBlocks(); used != uint64(len(owner)) {
 		return fmt.Errorf("minifs: %d blocks marked used but %d reachable (leak)", used, len(owner))
 	}
 	return nil
@@ -394,14 +507,15 @@ func (fs *FS) CheckIntegrity() error {
 // next commit would let a crash expose a half-overwritten block through
 // committed pointers.
 func (fs *FS) allocBlock() (uint64, error) {
-	n := uint64(len(fs.bitmap))
-	if n == 0 {
-		return 0, ErrNoSpace
-	}
+	n := fs.sb.totalBlocks - fs.sb.dataStart
 	for off := uint64(0); off < n; off++ {
 		i := (fs.cursor + off) % n
-		if !fs.bitmap[i] && !fs.pendingFree[fs.sb.dataStart+i] {
-			fs.bitmap[i] = true
+		if i%8 == 0 && i+8 <= n && fs.bitmap[i/8] == 0xff {
+			off += 7 // eight used blocks
+			continue
+		}
+		if !fs.used(i) && !fs.pendingFree[fs.sb.dataStart+i] {
+			fs.setUsed(i, true)
 			fs.cursor = i + 1
 			return fs.sb.dataStart + i, nil
 		}
@@ -411,7 +525,7 @@ func (fs *FS) allocBlock() (uint64, error) {
 
 func (fs *FS) freeBlock(abs uint64) {
 	if abs >= fs.sb.dataStart && abs < fs.sb.totalBlocks {
-		fs.bitmap[abs-fs.sb.dataStart] = false
+		fs.setUsed(abs-fs.sb.dataStart, false)
 		fs.pendingFree[abs] = true
 	}
 	delete(fs.ptrCache, abs)
@@ -455,7 +569,7 @@ func (fs *FS) readPtrBlock(abs uint64) ([]uint64, error) {
 	}
 	ptrs := make([]uint64, fs.ptrsPerBlock())
 	for i := range ptrs {
-		ptrs[i] = getUint64(buf[i*8:])
+		ptrs[i] = le.Uint64(buf[i*8:])
 	}
 	fs.ptrCache[abs] = ptrs
 	return ptrs, nil
@@ -481,7 +595,7 @@ func (fs *FS) flushPtrBlocks() error {
 			buf[i] = 0
 		}
 		for i, p := range ptrs {
-			putUint64(buf[i*8:], p)
+			le.PutUint64(buf[i*8:], p)
 		}
 		if err := fs.dev.WriteBlock(abs, buf); err != nil {
 			return err
@@ -634,18 +748,4 @@ func (fs *FS) freeInodeBlocks(ind *inode) error {
 		fs.freeBlock(ind.dindirect)
 	}
 	return nil
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * uint(i))
-	}
-	return v
 }

@@ -2,6 +2,7 @@ package minifs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -477,7 +478,7 @@ func TestMountRejectsCorruptSuperblock(t *testing.T) {
 			if err := dev.ReadBlock(0, sb); err != nil {
 				t.Fatal(err)
 			}
-			putUint64(sb[8+8*i:], v)
+			binary.LittleEndian.PutUint64(sb[8+8*i:], v)
 			if err := dev.WriteBlock(0, sb); err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,10 @@
 package minifs
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc64"
 	"math"
-	"sort"
 	"time"
 
 	"mobiceal/internal/storage"
@@ -13,11 +13,12 @@ import (
 // Metadata journaling (the ext4/jbd2 analogue, data=ordered).
 //
 // Sync stages every changed bitmap and inode block as (address, content)
-// entries in the journal data region, syncs (which also flushes all
-// pending file data: ordered mode), then seals the transaction by writing
-// the journal descriptor: generation, entry count, entry addresses, and a
-// CRC64 over all of it including the entry contents. Only after the
-// descriptor is durable are the blocks written in place.
+// entries in the journal data region — found through the dirty sets, so
+// the cost is O(changed), not O(file system size) — syncs (which also
+// flushes all pending file data: ordered mode), then seals the transaction
+// by writing the journal descriptor: generation, entry count, entry
+// addresses, and a CRC64 over all of it including the entry contents. Only
+// after the descriptor is durable are the blocks written in place.
 //
 // The descriptor write is the atomic commit point. Mount validates the
 // descriptor against the journal contents: a valid journal is replayed
@@ -42,37 +43,21 @@ const jdescHeaderLen = 8 + 8 + 8
 // crcTable drives the journal descriptor checksum.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// marshalBitmap serializes the block bitmap region.
-func (fs *FS) marshalBitmap() []byte {
-	out := make([]byte, int(fs.sb.bitmapBlocks)*fs.sb.blockSize)
-	for i, used := range fs.bitmap {
-		if used {
-			out[i/8] |= 1 << (i % 8)
+// marshalInodeBlock serializes inode-table block b into dst, one block
+// long. An inode may straddle a block boundary when the block size is not
+// a multiple of inodeSize; each block holds its share of the bytes.
+func (fs *FS) marshalInodeBlock(b uint64, dst []byte) {
+	bs := uint64(len(dst))
+	lo := b * bs
+	clear(dst)
+	var slot [inodeSize]byte
+	for i := lo / inodeSize; i < uint64(len(fs.inodes)) && i*inodeSize < lo+bs; i++ {
+		marshalInode(&fs.inodes[i], slot[:])
+		if at := int64(i*inodeSize) - int64(lo); at < 0 {
+			copy(dst, slot[-at:])
+		} else {
+			copy(dst[at:], slot[:])
 		}
-	}
-	return out
-}
-
-// marshalInodes serializes the inode table region.
-func (fs *FS) marshalInodes() []byte {
-	out := make([]byte, int(fs.sb.inodeBlocks)*fs.sb.blockSize)
-	for i := range fs.inodes {
-		marshalInode(&fs.inodes[i], out[i*inodeSize:])
-	}
-	return out
-}
-
-// stageRegion adds to txn every block of region (starting at device block
-// start) that differs from prev, the region's content as of the previous
-// Sync. A nil prev stages everything.
-func (fs *FS) stageRegion(txn map[uint64][]byte, start uint64, region, prev []byte) {
-	bs := fs.sb.blockSize
-	for b := 0; b*bs < len(region); b++ {
-		blk := region[b*bs : (b+1)*bs]
-		if prev != nil && (b+1)*bs <= len(prev) && string(blk) == string(prev[b*bs:(b+1)*bs]) {
-			continue
-		}
-		txn[start+uint64(b)] = append([]byte(nil), blk...)
 	}
 }
 
@@ -81,7 +66,10 @@ func (fs *FS) stageRegion(txn map[uint64][]byte, start uint64, region, prev []by
 // block, the parent reference — an inode field or an outer pointer block —
 // is updated, and the old block is freed but stays reserved until the
 // commit lands. Pointer blocks allocated since the last Sync are already
-// unreferenced by durable metadata and stay in place. Caller holds fs.mu.
+// unreferenced by durable metadata and stay in place. Only inodes touched
+// since the last commit can own a dirty pointer block; they are visited in
+// inode order, so relocation allocates the same blocks a walk over the
+// whole table would. Caller holds fs.mu.
 func (fs *FS) relocateDirtyPtrs() error {
 	needsMove := func(abs uint64) bool {
 		return abs != 0 && fs.ptrDirty[abs] && !fs.freshPtr[abs]
@@ -100,7 +88,7 @@ func (fs *FS) relocateDirtyPtrs() error {
 		fs.freeBlock(old)
 		return abs, nil
 	}
-	for i := range fs.inodes {
+	for _, i := range fs.dirtyInodes.sorted() {
 		ind := &fs.inodes[i]
 		if ind.mode == modeFree {
 			continue
@@ -174,6 +162,7 @@ func (fs *FS) Sync() error {
 	//    and writes them directly: they are invisible until the inode
 	//    table commits.
 	if fs.dirDirty {
+		fs.touch(rootIno)
 		dirBytes := fs.marshalDir()
 		if err := fs.writeInodeData(&fs.inodes[rootIno], dirBytes); err != nil {
 			return fmt.Errorf("minifs: writing root directory: %w", err)
@@ -190,56 +179,99 @@ func (fs *FS) Sync() error {
 		return fmt.Errorf("minifs: flushing pointer blocks: %w", err)
 	}
 
-	// 3. Stage the bitmap and inode blocks that changed since the previous
-	//    Sync.
-	txn := make(map[uint64][]byte)
-	bitmapBytes := fs.marshalBitmap()
-	fs.stageRegion(txn, fs.sb.bitmapStart, bitmapBytes, fs.lastBitmap)
-	inodeBytes := fs.marshalInodes()
-	fs.stageRegion(txn, fs.sb.inodeStart, inodeBytes, fs.lastInodes)
+	// 3. Stage the dirty bitmap and inode blocks that differ from their
+	//    last committed copy. Bitmap blocks precede inode blocks on disk,
+	//    so the entries come out in address order, which lets in-place
+	//    application coalesce them into vectored runs.
+	bs := fs.sb.blockSize
+	bblks, iblks := fs.dirtyBitmap.sorted(), fs.dirtyItable.sorted()
+	entries := make([]byte, (len(bblks)+len(iblks))*bs)
+	addrs := make([]uint64, 0, len(bblks)+len(iblks))
+	stage := func(abs uint64, blk, last []byte) {
+		if last == nil || !bytes.Equal(blk, last) {
+			addrs = append(addrs, abs)
+		}
+	}
+	for _, b := range bblks {
+		blk := entries[len(addrs)*bs:][:bs]
+		copy(blk, fs.bitmap[b*uint64(bs):])
+		stage(fs.sb.bitmapStart+b, blk, region(fs.lastBitmap, b, bs))
+	}
+	for _, b := range iblks {
+		blk := entries[len(addrs)*bs:][:bs]
+		fs.marshalInodeBlock(b, blk)
+		stage(fs.sb.inodeStart+b, blk, region(fs.lastInodes, b, bs))
+	}
+	entries = entries[:len(addrs)*bs]
 
-	if len(txn) == 0 {
+	if len(addrs) == 0 {
 		// No metadata changed; just give pending file data durability.
 		fs.m.DataOnlySyncs.Inc()
-		return fs.dev.Sync()
+		if err := fs.dev.Sync(); err != nil {
+			return err
+		}
+		fs.clearDirty()
+		return nil
 	}
-	if uint64(len(txn)) > fs.sb.jdataBlocks {
+	if uint64(len(addrs)) > fs.sb.jdataBlocks {
 		// Impossible by construction: the journal holds both regions whole.
 		return fmt.Errorf("minifs: transaction of %d blocks exceeds journal (%d)",
-			len(txn), fs.sb.jdataBlocks)
+			len(addrs), fs.sb.jdataBlocks)
 	}
 
-	// 4. Commit. Entries are sorted by address so in-place application
-	//    coalesces into vectored runs.
-	addrs := make([]uint64, 0, len(txn))
-	for abs := range txn {
-		addrs = append(addrs, abs)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if err := fs.commitTxn(addrs, txn); err != nil {
+	// 4. Commit.
+	if err := fs.commitTxn(addrs, entries); err != nil {
 		return err
 	}
 	fs.m.JournalCommits.Inc()
-	fs.m.JournalBlocks.Add(uint64(len(txn)))
-
-	fs.lastBitmap = bitmapBytes
-	fs.lastInodes = inodeBytes
+	fs.m.JournalBlocks.Add(uint64(len(addrs)))
+	fs.clearDirty()
 	fs.pendingFree = make(map[uint64]bool)
 	fs.freshPtr = make(map[uint64]bool)
 	fs.dirDirty = false
 	return nil
 }
 
+// patchLast copies committed entries into lastBitmap and lastInodes,
+// allocating them on the first commit.
+func (fs *FS) patchLast(addrs []uint64, entries []byte) {
+	bs := uint64(fs.sb.blockSize)
+	if fs.lastBitmap == nil {
+		fs.lastBitmap = make([]byte, fs.sb.bitmapBlocks*bs)
+		fs.lastInodes = make([]byte, fs.sb.inodeBlocks*bs)
+	}
+	for i, abs := range addrs {
+		blk := entries[uint64(i)*bs : uint64(i+1)*bs]
+		if abs < fs.sb.inodeStart {
+			copy(fs.lastBitmap[(abs-fs.sb.bitmapStart)*bs:], blk)
+		} else {
+			copy(fs.lastInodes[(abs-fs.sb.inodeStart)*bs:], blk)
+		}
+	}
+}
+
+// region returns block b of a committed region copy, or nil when nothing
+// is committed yet.
+func region(last []byte, b uint64, bs int) []byte {
+	if last == nil {
+		return nil
+	}
+	return last[b*uint64(bs) : (b+1)*uint64(bs)]
+}
+
+// clearDirty consumes the dirty sets once their blocks are durable.
+func (fs *FS) clearDirty() {
+	fs.dirtyInodes.clear()
+	fs.dirtyItable.clear()
+	fs.dirtyBitmap.clear()
+}
+
 // commitTxn runs one journal transaction: entries into the journal region,
 // barrier, sealed descriptor, barrier, in-place application, barrier.
-func (fs *FS) commitTxn(addrs []uint64, txn map[uint64][]byte) error {
+// entries holds one block per address, addresses ascending.
+func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 	bs := fs.sb.blockSize
 
-	// Journal entries, in address order, one block per entry.
-	entries := make([]byte, len(addrs)*bs)
-	for i, abs := range addrs {
-		copy(entries[i*bs:], txn[abs])
-	}
 	if err := storage.WriteFull(fs.dev, fs.sb.jdataStart, entries); err != nil {
 		return fmt.Errorf("minifs: writing journal entries: %w", err)
 	}
@@ -251,18 +283,26 @@ func (fs *FS) commitTxn(addrs []uint64, txn map[uint64][]byte) error {
 
 	// Sealed descriptor: the atomic commit point.
 	desc := make([]byte, int((jdescHeaderLen+8*uint64(len(addrs))+uint64(bs)-1)/uint64(bs))*bs)
-	putUint64(desc[0:], fs.gen+1)
-	putUint64(desc[8:], uint64(len(addrs)))
+	le.PutUint64(desc[0:], fs.gen+1)
+	le.PutUint64(desc[8:], uint64(len(addrs)))
 	for i, abs := range addrs {
-		putUint64(desc[jdescHeaderLen+8*i:], abs)
+		le.PutUint64(desc[jdescHeaderLen+8*i:], abs)
 	}
-	putUint64(desc[16:], journalChecksum(desc, entries, len(addrs)))
+	le.PutUint64(desc[16:], journalChecksum(desc, entries, len(addrs)))
 	if err := storage.WriteFull(fs.dev, fs.sb.jdescStart, desc); err != nil {
 		return fmt.Errorf("minifs: writing journal descriptor: %w", err)
 	}
 	if err := fs.dev.Sync(); err != nil {
 		return fmt.Errorf("minifs: syncing journal descriptor: %w", err)
 	}
+
+	// The transaction is committed: Mount, or the next Sync if in-place
+	// application fails below, replays it. Patch the committed region
+	// copies now, so later Syncs diff against what the device will hold.
+	// Left at their old content after a failed application, they would
+	// hide from the next Sync any block that changed back to its old
+	// value while the replay rewrote it on disk.
+	fs.patchLast(addrs, entries)
 
 	// In-place application, coalescing adjacent addresses into one write.
 	// From here the descriptor is durable: if application fails midway,
@@ -307,8 +347,8 @@ func (fs *FS) replayJournal() error {
 	if err != nil {
 		return fmt.Errorf("minifs: reading journal descriptor: %w", err)
 	}
-	gen := getUint64(descRaw[0:])
-	count := getUint64(descRaw[8:])
+	gen := le.Uint64(descRaw[0:])
+	count := le.Uint64(descRaw[8:])
 	if count == 0 || count > fs.sb.jdataBlocks ||
 		jdescHeaderLen+8*count > uint64(len(descRaw)) {
 		return nil // no (or no plausible) sealed transaction
@@ -317,12 +357,12 @@ func (fs *FS) replayJournal() error {
 	if err != nil {
 		return fmt.Errorf("minifs: reading journal entries: %w", err)
 	}
-	if journalChecksum(descRaw, entries, int(count)) != getUint64(descRaw[16:]) {
+	if journalChecksum(descRaw, entries, int(count)) != le.Uint64(descRaw[16:]) {
 		return nil // torn or stale journal: the in-place state stands
 	}
 	fs.gen = gen
 	for i := uint64(0); i < count; i++ {
-		abs := getUint64(descRaw[jdescHeaderLen+8*i:])
+		abs := le.Uint64(descRaw[jdescHeaderLen+8*i:])
 		// Only the bitmap and inode regions are ever journaled; an entry
 		// addressing anything else — the superblock, the journal itself,
 		// or file data — is corruption and must not be replayed.
@@ -344,19 +384,19 @@ func (fs *FS) replayJournal() error {
 // never depend on a block that could be mid-rewrite at a power cut.
 func (fs *FS) writeSuper() error {
 	buf := make([]byte, fs.sb.blockSize)
-	putUint64(buf[0:], magic)
-	putUint64(buf[8:], uint64(fs.sb.blockSize))
-	putUint64(buf[16:], fs.sb.totalBlocks)
-	putUint64(buf[24:], uint64(fs.sb.inodeCount))
-	putUint64(buf[32:], fs.sb.jdescStart)
-	putUint64(buf[40:], fs.sb.jdescBlocks)
-	putUint64(buf[48:], fs.sb.jdataStart)
-	putUint64(buf[56:], fs.sb.jdataBlocks)
-	putUint64(buf[64:], fs.sb.bitmapStart)
-	putUint64(buf[72:], fs.sb.bitmapBlocks)
-	putUint64(buf[80:], fs.sb.inodeStart)
-	putUint64(buf[88:], fs.sb.inodeBlocks)
-	putUint64(buf[96:], fs.sb.dataStart)
+	le.PutUint64(buf[0:], magic)
+	le.PutUint64(buf[8:], uint64(fs.sb.blockSize))
+	le.PutUint64(buf[16:], fs.sb.totalBlocks)
+	le.PutUint64(buf[24:], uint64(fs.sb.inodeCount))
+	le.PutUint64(buf[32:], fs.sb.jdescStart)
+	le.PutUint64(buf[40:], fs.sb.jdescBlocks)
+	le.PutUint64(buf[48:], fs.sb.jdataStart)
+	le.PutUint64(buf[56:], fs.sb.jdataBlocks)
+	le.PutUint64(buf[64:], fs.sb.bitmapStart)
+	le.PutUint64(buf[72:], fs.sb.bitmapBlocks)
+	le.PutUint64(buf[80:], fs.sb.inodeStart)
+	le.PutUint64(buf[88:], fs.sb.inodeBlocks)
+	le.PutUint64(buf[96:], fs.sb.dataStart)
 	return fs.dev.WriteBlock(0, buf)
 }
 
@@ -368,26 +408,26 @@ func (fs *FS) load() error {
 	if err := fs.dev.ReadBlock(0, buf); err != nil {
 		return fmt.Errorf("minifs: reading superblock: %w", err)
 	}
-	if getUint64(buf) != magic {
+	if le.Uint64(buf) != magic {
 		return ErrNotFormatted
 	}
-	inodeCount := getUint64(buf[24:])
+	inodeCount := le.Uint64(buf[24:])
 	if inodeCount <= rootIno || inodeCount > math.MaxUint32 {
 		return fmt.Errorf("%w: inode count %d", ErrNotFormatted, inodeCount)
 	}
 	fs.sb = superblock{
-		blockSize:    int(getUint64(buf[8:])),
-		totalBlocks:  getUint64(buf[16:]),
+		blockSize:    int(le.Uint64(buf[8:])),
+		totalBlocks:  le.Uint64(buf[16:]),
 		inodeCount:   uint32(inodeCount),
-		jdescStart:   getUint64(buf[32:]),
-		jdescBlocks:  getUint64(buf[40:]),
-		jdataStart:   getUint64(buf[48:]),
-		jdataBlocks:  getUint64(buf[56:]),
-		bitmapStart:  getUint64(buf[64:]),
-		bitmapBlocks: getUint64(buf[72:]),
-		inodeStart:   getUint64(buf[80:]),
-		inodeBlocks:  getUint64(buf[88:]),
-		dataStart:    getUint64(buf[96:]),
+		jdescStart:   le.Uint64(buf[32:]),
+		jdescBlocks:  le.Uint64(buf[40:]),
+		jdataStart:   le.Uint64(buf[48:]),
+		jdataBlocks:  le.Uint64(buf[56:]),
+		bitmapStart:  le.Uint64(buf[64:]),
+		bitmapBlocks: le.Uint64(buf[72:]),
+		inodeStart:   le.Uint64(buf[80:]),
+		inodeBlocks:  le.Uint64(buf[88:]),
+		dataStart:    le.Uint64(buf[96:]),
 	}
 	if fs.sb.blockSize != bs {
 		return fmt.Errorf("%w: block size %d != device %d", ErrNotFormatted, fs.sb.blockSize, bs)
@@ -407,11 +447,6 @@ func (fs *FS) load() error {
 	if err != nil {
 		return fmt.Errorf("minifs: reading bitmap: %w", err)
 	}
-	fs.bitmap = make([]bool, fs.sb.totalBlocks-fs.sb.dataStart)
-	for i := range fs.bitmap {
-		fs.bitmap[i] = bitmapBytes[i/8]&(1<<(i%8)) != 0
-	}
-
 	inodeBytes, err := storage.ReadFull(fs.dev, fs.sb.inodeStart, fs.sb.inodeBlocks)
 	if err != nil {
 		return fmt.Errorf("minifs: reading inode table: %w", err)
@@ -420,17 +455,48 @@ func (fs *FS) load() error {
 	for i := range fs.inodes {
 		unmarshalInode(&fs.inodes[i], inodeBytes[i*inodeSize:])
 	}
+	fs.bitmap = bytes.Clone(bitmapBytes)
 	fs.lastBitmap = bitmapBytes
 	fs.lastInodes = inodeBytes
-	fs.ptrCache = make(map[uint64][]uint64)
-	fs.ptrDirty = make(map[uint64]bool)
-	fs.freshPtr = make(map[uint64]bool)
-	fs.pendingFree = make(map[uint64]bool)
-	if fs.inodes[rootIno].mode != modeDir {
-		return fmt.Errorf("%w: missing root directory", ErrNotFormatted)
+	fs.resetState()
+
+	// Normalize: bitmap bits past the last data block are cleared, and
+	// inode-table bytes that decode lossily (high mode bits, slot padding,
+	// space past the last inode) re-marshal differently. Blocks where the
+	// in-memory state would not reproduce the committed copy are dirty
+	// from the start, so the next commit rewrites them exactly as a full
+	// re-marshal of the metadata would.
+	dataBlocks := fs.sb.totalBlocks - fs.sb.dataStart
+	for i := dataBlocks / 8; i < uint64(len(fs.bitmap)); i++ {
+		keep := byte(0)
+		if i == dataBlocks/8 {
+			keep = 1<<(dataBlocks%8) - 1
+		}
+		if fs.bitmap[i]&^keep != 0 {
+			fs.bitmap[i] &= keep
+			fs.dirtyBitmap.add(i / uint64(bs))
+		}
+	}
+	blk := make([]byte, bs)
+	for b := range fs.sb.inodeBlocks {
+		fs.marshalInodeBlock(b, blk)
+		if !bytes.Equal(blk, region(inodeBytes, b, bs)) {
+			fs.dirtyItable.add(b)
+		}
 	}
 
-	dirBytes, err := fs.readInodeData(&fs.inodes[rootIno])
+	root := &fs.inodes[rootIno]
+	if root.mode != modeDir {
+		return fmt.Errorf("%w: missing root directory", ErrNotFormatted)
+	}
+	// The directory is read whole, so bound its size before allocating:
+	// at most one maximal entry per file inode, all inside the data region.
+	maxDir := min(8+uint64(fs.sb.inodeCount-rootIno-1)*(10+maxNameLen), dataBlocks*uint64(bs))
+	if root.size > maxDir {
+		return fmt.Errorf("%w: root directory size %d", ErrNotFormatted, root.size)
+	}
+
+	dirBytes, err := fs.readInodeData(root)
 	if err != nil {
 		return fmt.Errorf("minifs: reading root directory: %w", err)
 	}
@@ -476,72 +542,77 @@ func (sb *superblock) validate() error {
 }
 
 func marshalInode(ind *inode, b []byte) {
-	putUint64(b[0:], uint64(ind.mode))
-	putUint64(b[8:], ind.size)
+	le.PutUint64(b[0:], uint64(ind.mode))
+	le.PutUint64(b[8:], ind.size)
 	for i := 0; i < numDirect; i++ {
-		putUint64(b[16+8*i:], ind.direct[i])
+		le.PutUint64(b[16+8*i:], ind.direct[i])
 	}
-	putUint64(b[16+8*numDirect:], ind.indirect)
-	putUint64(b[24+8*numDirect:], ind.dindirect)
+	le.PutUint64(b[16+8*numDirect:], ind.indirect)
+	le.PutUint64(b[24+8*numDirect:], ind.dindirect)
 }
 
 func unmarshalInode(ind *inode, b []byte) {
-	ind.mode = uint32(getUint64(b[0:]))
-	ind.size = getUint64(b[8:])
+	ind.mode = uint32(le.Uint64(b[0:]))
+	ind.size = le.Uint64(b[8:])
 	for i := 0; i < numDirect; i++ {
-		ind.direct[i] = getUint64(b[16+8*i:])
+		ind.direct[i] = le.Uint64(b[16+8*i:])
 	}
-	ind.indirect = getUint64(b[16+8*numDirect:])
-	ind.dindirect = getUint64(b[24+8*numDirect:])
+	ind.indirect = le.Uint64(b[16+8*numDirect:])
+	ind.dindirect = le.Uint64(b[24+8*numDirect:])
 }
 
 // marshalDir serializes the root directory: count, then (ino, nameLen,
-// name) entries in sorted-name order for determinism.
+// name) entries in sorted-name order for determinism. fs.dir is kept
+// sorted, so this is one pass.
 func (fs *FS) marshalDir() []byte {
-	names := make([]string, 0, len(fs.dir))
-	for name := range fs.dir {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	size := 8
-	for _, name := range names {
-		size += 8 + 2 + len(name)
+	for _, e := range fs.dir {
+		size += 8 + 2 + len(e.name)
 	}
 	out := make([]byte, size)
-	putUint64(out, uint64(len(names)))
+	le.PutUint64(out, uint64(len(fs.dir)))
 	off := 8
-	for _, name := range names {
-		putUint64(out[off:], uint64(fs.dir[name]))
+	for _, e := range fs.dir {
+		le.PutUint64(out[off:], uint64(e.ino))
 		off += 8
-		out[off] = byte(len(name))
-		out[off+1] = byte(len(name) >> 8)
+		le.PutUint16(out[off:], uint16(len(e.name)))
 		off += 2
-		copy(out[off:], name)
-		off += len(name)
+		off += copy(out[off:], e.name)
 	}
 	return out
 }
 
+// unmarshalDir parses the root directory. Entries must fit the directory,
+// have names no longer than Create allows, come in strictly ascending name
+// order, as marshalDir writes them, and reference a file inode number
+// inside the table; anything else is corruption.
 func (fs *FS) unmarshalDir(b []byte) error {
-	fs.dir = make(map[string]uint32)
+	fs.dir = nil
 	if len(b) < 8 {
 		return nil // empty directory
 	}
-	count := getUint64(b)
+	count := le.Uint64(b)
 	off := 8
 	for i := uint64(0); i < count; i++ {
 		if off+10 > len(b) {
 			return fmt.Errorf("%w: truncated directory", ErrNotFormatted)
 		}
-		ino := uint32(getUint64(b[off:]))
+		ino := le.Uint64(b[off:])
 		off += 8
-		nameLen := int(b[off]) | int(b[off+1])<<8
+		nameLen := int(le.Uint16(b[off:]))
 		off += 2
-		if off+nameLen > len(b) {
-			return fmt.Errorf("%w: truncated directory entry", ErrNotFormatted)
+		if nameLen > maxNameLen || off+nameLen > len(b) {
+			return fmt.Errorf("%w: bad directory entry", ErrNotFormatted)
 		}
-		fs.dir[string(b[off:off+nameLen])] = ino
+		name := string(b[off : off+nameLen])
 		off += nameLen
+		switch {
+		case ino <= rootIno || ino >= uint64(fs.sb.inodeCount):
+			return fmt.Errorf("%w: directory entry %q references inode %d", ErrNotFormatted, name, ino)
+		case len(fs.dir) > 0 && name <= fs.dir[len(fs.dir)-1].name:
+			return fmt.Errorf("%w: directory entry %q out of order", ErrNotFormatted, name)
+		}
+		fs.dir = append(fs.dir, dirent{name: name, ino: uint32(ino)})
 	}
 	return nil
 }

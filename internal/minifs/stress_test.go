@@ -113,8 +113,9 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt: free a block still referenced by the file.
 	fs.mu.Lock()
-	abs := fs.inodes[fs.dir["x"]].direct[0]
-	fs.bitmap[abs-fs.sb.dataStart] = false
+	at, _ := fs.lookup("x")
+	abs := fs.inodes[fs.dir[at].ino].direct[0]
+	fs.setUsed(abs-fs.sb.dataStart, false)
 	fs.mu.Unlock()
 	if err := fs.CheckIntegrity(); err == nil {
 		t.Fatal("corruption not detected")

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"sync"
 )
 
 // PBKDF2Key derives a key of keyLen bytes from password and salt using
@@ -25,35 +26,51 @@ import (
 // PBKDF2-SHA1 with 2000 iterations); MobiCeal additionally uses PBKDF2 to
 // derive the hidden-volume index k = (H(pwd||salt) mod (n-1)) + 2
 // (Sec. IV-C).
+//
+// The output blocks T_1..T_n are independent, so all but the last are
+// derived on their own goroutines: the 48-byte footer key-encryption key
+// is three HMAC-SHA1 chains, and this is the dominant cost of setting up
+// and opening a device.
 func PBKDF2Key(password, salt []byte, iter, keyLen int, h func() hash.Hash) []byte {
-	prf := hmac.New(h, password)
-	hashLen := prf.Size()
+	hashLen := h().Size()
 	numBlocks := (keyLen + hashLen - 1) / hashLen
-
-	var buf [4]byte
-	dk := make([]byte, 0, numBlocks*hashLen)
-	u := make([]byte, hashLen)
-	t := make([]byte, hashLen)
+	dk := make([]byte, numBlocks*hashLen)
+	var wg sync.WaitGroup
 	for block := 1; block <= numBlocks; block++ {
-		// U_1 = PRF(password, salt || INT(block))
-		prf.Reset()
-		prf.Write(salt)
-		binary.BigEndian.PutUint32(buf[:], uint32(block))
-		prf.Write(buf[:])
-		u = prf.Sum(u[:0])
-		copy(t, u)
-		// U_i = PRF(password, U_{i-1}); T = U_1 ^ ... ^ U_c
-		for i := 2; i <= iter; i++ {
-			prf.Reset()
-			prf.Write(u)
-			u = prf.Sum(u[:0])
-			for x := range t {
-				t[x] ^= u[x]
-			}
+		t := dk[(block-1)*hashLen : block*hashLen]
+		if block == numBlocks {
+			pbkdf2Block(t, password, salt, iter, block, h)
+			break
 		}
-		dk = append(dk, t...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pbkdf2Block(t, password, salt, iter, block, h)
+		}()
 	}
+	wg.Wait()
 	return dk[:keyLen]
+}
+
+// pbkdf2Block computes output block T_block into t.
+func pbkdf2Block(t, password, salt []byte, iter, block int, h func() hash.Hash) {
+	prf := hmac.New(h, password)
+	// U_1 = PRF(password, salt || INT(block))
+	var buf [4]byte
+	prf.Write(salt)
+	binary.BigEndian.PutUint32(buf[:], uint32(block))
+	prf.Write(buf[:])
+	u := prf.Sum(nil)
+	copy(t, u)
+	// U_i = PRF(password, U_{i-1}); T = U_1 ^ ... ^ U_c
+	for i := 2; i <= iter; i++ {
+		prf.Reset()
+		prf.Write(u)
+		u = prf.Sum(u[:0])
+		for x := range t {
+			t[x] ^= u[x]
+		}
+	}
 }
 
 // PBKDF2SHA1 derives a key with HMAC-SHA1, the Android 4.x cryptfs default.

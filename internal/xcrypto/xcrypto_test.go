@@ -2,8 +2,12 @@ package xcrypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +61,44 @@ func TestPBKDF2LongOutput(t *testing.T) {
 	first := PBKDF2SHA1([]byte("pw"), []byte("na"), 10, 20)
 	if !bytes.Equal(got[:20], first) {
 		t.Fatal("prefix changed when requesting longer output")
+	}
+}
+
+// pbkdf2Serial is a direct transcription of RFC 2898 Sec. 5.2, one block
+// after the other: the reference for the concurrent block derivation.
+func pbkdf2Serial(password, salt []byte, iter, keyLen int, h func() hash.Hash) []byte {
+	prf := hmac.New(h, password)
+	var dk []byte
+	for block := uint32(1); len(dk) < keyLen; block++ {
+		prf.Reset()
+		prf.Write(salt)
+		prf.Write([]byte{byte(block >> 24), byte(block >> 16), byte(block >> 8), byte(block)})
+		u := prf.Sum(nil)
+		t := bytes.Clone(u)
+		for i := 2; i <= iter; i++ {
+			prf.Reset()
+			prf.Write(u)
+			u = prf.Sum(nil)
+			for x := range t {
+				t[x] ^= u[x]
+			}
+		}
+		dk = append(dk, t...)
+	}
+	return dk[:keyLen]
+}
+
+// TestPBKDF2MatchesSerial checks the concurrently derived output blocks
+// against the serial reference, across block counts 0 through 5.
+func TestPBKDF2MatchesSerial(t *testing.T) {
+	for _, h := range []func() hash.Hash{sha1.New, sha256.New} {
+		for _, keyLen := range []int{0, 1, 20, 21, 32, 33, 48, 64, 100} {
+			got := PBKDF2Key([]byte("pw"), []byte("salt"), 7, keyLen, h)
+			want := pbkdf2Serial([]byte("pw"), []byte("salt"), 7, keyLen, h)
+			if !bytes.Equal(got, want) {
+				t.Errorf("hash size %d, keyLen %d: %x, want %x", h().Size(), keyLen, got, want)
+			}
+		}
 	}
 }
 
