@@ -302,3 +302,82 @@ func TestMinifsSyncRetryAfterFault(t *testing.T) {
 		}
 	}
 }
+
+// TestMinifsSyncRetryThenWriteThroughNewPtrBlock faults a Sync that
+// allocates a file's first indirect block at every write and every sync
+// index, retries it, then grows the file through that pointer block and
+// Syncs again, crash-enumerating the whole stream. Once a faulted Sync has
+// sealed its transaction, the pointer block is referenced by committed
+// metadata even if the in-place application failed: the later Sync must
+// shadow-page it rather than overwrite it in place, or a cut before that
+// Sync's seal leaves the committed inode pointing through it at blocks the
+// committed bitmap marks free.
+func TestMinifsSyncRetryThenWriteThroughNewPtrBlock(t *testing.T) {
+	content0 := bytes.Repeat([]byte{0x71}, 2500) // direct blocks only
+	grow1 := bytes.Repeat([]byte{0x72}, 3500)    // crosses into the indirect block
+	grow2 := bytes.Repeat([]byte{0x73}, 2000)    // more entries in that block
+	content1 := append(append([]byte(nil), content0...), grow1...)
+	content2 := append(append([]byte(nil), content1...), grow2...)
+	states := []fsState{{"alpha": content0}, {"alpha": content1}, {"alpha": content2}}
+	for _, kind := range []string{"write", "sync"} {
+		for n := 0; ; n++ {
+			label := fmt.Sprintf("%s fault@%d", kind, n)
+			crash := storage.NewCrashDevice(storage.NewMemDevice(512, 1024))
+			fd := storage.NewFaultDevice(crash)
+			fs, err := Format(fd, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, fs, "alpha", content0)
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := crash.StartRecording(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Open("alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(grow1, int64(len(content0))); err != nil {
+				t.Fatal(err)
+			}
+			if kind == "write" {
+				fd.FailWritesAfter(n)
+			} else {
+				fd.FailSyncsAfter(n)
+			}
+			syncErr := fs.Sync()
+			fd.Disarm()
+			if syncErr != nil {
+				if err := fs.Sync(); err != nil {
+					t.Fatalf("%s: retry Sync: %v", label, err)
+				}
+			}
+			if _, err := f.WriteAt(grow2, int64(len(content1))); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatalf("%s: Sync after retry: %v", label, err)
+			}
+			total := crash.PersistedWrites()
+			for i := 0; i <= total; i++ {
+				img, err := crash.CrashImage(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchState(t, fmt.Sprintf("%s cut@%d", label, i), img, states)
+			}
+			final, err := crash.CrashImage(total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if matchState(t, label+" final", final, states) != 2 {
+				t.Fatalf("%s: completed Syncs did not land the last state", label)
+			}
+			if syncErr == nil {
+				break // the fault budget outlasted the Sync
+			}
+		}
+	}
+}

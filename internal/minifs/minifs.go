@@ -118,7 +118,7 @@ type FS struct {
 	// Sync, like a kernel FS buffer cache. Without this, every data-block
 	// allocation would interleave a pointer-block write and destroy the
 	// spatial locality the workloads depend on. freshPtr marks pointer
-	// blocks allocated since the last Sync: no committed metadata
+	// blocks allocated since the last commit: no committed metadata
 	// references them, so Sync can write them in place, while a dirty
 	// pointer block of committed metadata must be shadow-paged to a fresh
 	// location first (persist.go).
@@ -141,12 +141,13 @@ type FS struct {
 	// O(changed) blocks. dirtyInodes holds every inode mutated (Sync's
 	// pointer-block relocation visits only these); dirtyItable the
 	// inode-table blocks holding them; dirtyBitmap the bitmap blocks with
-	// a flipped bit. The sets are consumed only by a successful commit or
-	// data-only flush, so a failed Sync re-stages them.
+	// a flipped bit. The sets are consumed only at a commit point (the
+	// sealed descriptor) or by a successful data-only flush, so a Sync
+	// that fails before either re-stages them.
 	dirtyInodes dirtySet
 	dirtyItable dirtySet
 	dirtyBitmap dirtySet
-	// dirDirty marks the root directory as changed since the last Sync,
+	// dirDirty marks the root directory as changed since the last commit,
 	// so idle Syncs skip the directory rewrite and take the cheap
 	// data-only flush path. replayPending marks a sealed journal whose
 	// in-place application failed midway: the journal region must not be
@@ -489,9 +490,22 @@ func (fs *FS) CheckIntegrity() error {
 			return err
 		}
 	}
+	// Names and file inodes correspond one to one: a second name would
+	// free the inode under the first on Remove, and an unnamed file
+	// inode holds blocks nothing can reach.
+	named := make([]bool, len(fs.inodes))
 	for _, e := range fs.dir {
 		if int(e.ino) >= len(fs.inodes) || fs.inodes[e.ino].mode != modeFile {
 			return fmt.Errorf("minifs: directory entry %q references bad inode %d", e.name, e.ino)
+		}
+		if named[e.ino] {
+			return fmt.Errorf("minifs: directory entry %q reuses inode %d", e.name, e.ino)
+		}
+		named[e.ino] = true
+	}
+	for i := range fs.inodes {
+		if fs.inodes[i].mode == modeFile && !named[i] {
+			return fmt.Errorf("minifs: file inode %d has no directory entry", i)
 		}
 	}
 	if used := fs.usedBlocks(); used != uint64(len(owner)) {
@@ -510,10 +524,6 @@ func (fs *FS) allocBlock() (uint64, error) {
 	n := fs.sb.totalBlocks - fs.sb.dataStart
 	for off := uint64(0); off < n; off++ {
 		i := (fs.cursor + off) % n
-		if i%8 == 0 && i+8 <= n && fs.bitmap[i/8] == 0xff {
-			off += 7 // eight used blocks
-			continue
-		}
 		if !fs.used(i) && !fs.pendingFree[fs.sb.dataStart+i] {
 			fs.setUsed(i, true)
 			fs.cursor = i + 1

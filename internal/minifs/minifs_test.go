@@ -488,3 +488,78 @@ func TestMountRejectsCorruptSuperblock(t *testing.T) {
 		}
 	}
 }
+
+// TestMountRejectsCorruptDirectory rewrites the second entry of a synced
+// two-file directory to name the first entry's inode, a free inode, or
+// the root: each leaves a name that Remove or Create would turn into a
+// shared or leaked inode, so Mount must return ErrNotFormatted.
+func TestMountRejectsCorruptDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ino  func(first uint64) uint64
+	}{
+		{"same inode as first entry", func(first uint64) uint64 { return first }},
+		{"free inode", func(uint64) uint64 { return 10 }},
+		{"root inode", func(uint64) uint64 { return rootIno }},
+	} {
+		dev := storage.NewMemDevice(blockSize, 256)
+		fs, err := Format(dev, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} {
+			f, err := fs.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte(name), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// Directory: count u64, then (ino u64, name length u16, name).
+		abs := fs.inodes[rootIno].direct[0]
+		dir := make([]byte, blockSize)
+		if err := dev.ReadBlock(abs, dir); err != nil {
+			t.Fatal(err)
+		}
+		const first, second = 8, 8 + 8 + 2 + 1
+		binary.LittleEndian.PutUint64(dir[second:], tc.ino(binary.LittleEndian.Uint64(dir[first:])))
+		if err := dev.WriteBlock(abs, dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Mount(dev); !errors.Is(err, ErrNotFormatted) {
+			t.Errorf("%s: Mount err = %v, want ErrNotFormatted", tc.name, err)
+		}
+	}
+}
+
+// TestCheckIntegrityRequiresOneNamePerFile: two names for one inode, or a
+// file inode with no name, is reported.
+func TestCheckIntegrityRequiresOneNamePerFile(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(fs *FS)
+	}{
+		{"two names", func(fs *FS) { fs.dir[1].ino = fs.dir[0].ino }},
+		{"no name", func(fs *FS) { fs.dir = fs.dir[:1] }},
+	} {
+		fs := newFS(t, 256)
+		for _, name := range []string{"a", "b"} {
+			if _, err := fs.Create(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: clean fs flagged: %v", tc.name, err)
+		}
+		fs.mu.Lock()
+		tc.corrupt(fs)
+		fs.mu.Unlock()
+		if err := fs.CheckIntegrity(); err == nil {
+			t.Errorf("%s: corruption not detected", tc.name)
+		}
+	}
+}

@@ -220,21 +220,23 @@ func (fs *FS) Sync() error {
 	}
 
 	// 4. Commit.
-	if err := fs.commitTxn(addrs, entries); err != nil {
-		return err
-	}
-	fs.m.JournalCommits.Inc()
-	fs.m.JournalBlocks.Add(uint64(len(addrs)))
-	fs.clearDirty()
-	fs.pendingFree = make(map[uint64]bool)
-	fs.freshPtr = make(map[uint64]bool)
-	fs.dirDirty = false
-	return nil
+	return fs.commitTxn(addrs, entries)
 }
 
-// patchLast copies committed entries into lastBitmap and lastInodes,
-// allocating them on the first commit.
-func (fs *FS) patchLast(addrs []uint64, entries []byte) {
+// committed adopts a sealed transaction as the durable metadata: the
+// committed region copies are patched with its entries, and everything
+// tracked since the previous commit — dirty sets, blocks held back from
+// reuse, pointer blocks new to this transaction, the directory rewrite —
+// is consumed. It runs at the commit point, before in-place application:
+// from then on Mount, or the next Sync if application fails, replays the
+// transaction, so later Syncs must treat its state as the committed one.
+// Adopted only after a successful application instead, a Sync following a
+// failed one would diff against stale copies, missing a block that changed
+// back to its old content while the replay rewrote it, and would overwrite
+// in place pointer blocks the sealed metadata already references.
+func (fs *FS) committed(addrs []uint64, entries []byte) {
+	fs.m.JournalCommits.Inc()
+	fs.m.JournalBlocks.Add(uint64(len(addrs)))
 	bs := uint64(fs.sb.blockSize)
 	if fs.lastBitmap == nil {
 		fs.lastBitmap = make([]byte, fs.sb.bitmapBlocks*bs)
@@ -248,6 +250,10 @@ func (fs *FS) patchLast(addrs []uint64, entries []byte) {
 			copy(fs.lastInodes[(abs-fs.sb.inodeStart)*bs:], blk)
 		}
 	}
+	fs.clearDirty()
+	fs.pendingFree = make(map[uint64]bool)
+	fs.freshPtr = make(map[uint64]bool)
+	fs.dirDirty = false
 }
 
 // region returns block b of a committed region copy, or nil when nothing
@@ -297,12 +303,8 @@ func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 	}
 
 	// The transaction is committed: Mount, or the next Sync if in-place
-	// application fails below, replays it. Patch the committed region
-	// copies now, so later Syncs diff against what the device will hold.
-	// Left at their old content after a failed application, they would
-	// hide from the next Sync any block that changed back to its old
-	// value while the replay rewrote it on disk.
-	fs.patchLast(addrs, entries)
+	// application fails below, replays it.
+	fs.committed(addrs, entries)
 
 	// In-place application, coalescing adjacent addresses into one write.
 	// From here the descriptor is durable: if application fails midway,
@@ -584,8 +586,9 @@ func (fs *FS) marshalDir() []byte {
 
 // unmarshalDir parses the root directory. Entries must fit the directory,
 // have names no longer than Create allows, come in strictly ascending name
-// order, as marshalDir writes them, and reference a file inode number
-// inside the table; anything else is corruption.
+// order, as marshalDir writes them, and each reference a different file
+// inode; anything else is corruption. The inode table must already be
+// loaded.
 func (fs *FS) unmarshalDir(b []byte) error {
 	fs.dir = nil
 	if len(b) < 8 {
@@ -593,6 +596,7 @@ func (fs *FS) unmarshalDir(b []byte) error {
 	}
 	count := le.Uint64(b)
 	off := 8
+	named := make([]bool, len(fs.inodes))
 	for i := uint64(0); i < count; i++ {
 		if off+10 > len(b) {
 			return fmt.Errorf("%w: truncated directory", ErrNotFormatted)
@@ -607,11 +611,14 @@ func (fs *FS) unmarshalDir(b []byte) error {
 		name := string(b[off : off+nameLen])
 		off += nameLen
 		switch {
-		case ino <= rootIno || ino >= uint64(fs.sb.inodeCount):
+		case ino <= rootIno || ino >= uint64(len(fs.inodes)) || fs.inodes[ino].mode != modeFile:
 			return fmt.Errorf("%w: directory entry %q references inode %d", ErrNotFormatted, name, ino)
+		case named[ino]:
+			return fmt.Errorf("%w: directory entry %q reuses inode %d", ErrNotFormatted, name, ino)
 		case len(fs.dir) > 0 && name <= fs.dir[len(fs.dir)-1].name:
 			return fmt.Errorf("%w: directory entry %q out of order", ErrNotFormatted, name)
 		}
+		named[ino] = true
 		fs.dir = append(fs.dir, dirent{name: name, ino: uint32(ino)})
 	}
 	return nil
