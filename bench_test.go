@@ -128,7 +128,7 @@ func BenchmarkTableIOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// The log fills; wrap by re-creating when exhausted.
-			if err := dev.WriteBlock(uint64(i)%dev.NumBlocks(), buf); err != nil {
+			if err := storage.WriteBlocks(dev, uint64(i)%dev.NumBlocks(), buf); err != nil {
 				b.StopTimer()
 				dev, err = defy.NewOverProfile(benchBlockSize, 4096, nil, uint64(i))
 				if err != nil {
@@ -150,7 +150,7 @@ func BenchmarkTableIOverhead(b *testing.B) {
 		b.SetBytes(benchBlockSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := dev.WriteBlock(uint64(i)%dev.NumBlocks(), buf); err != nil {
+			if err := storage.WriteBlocks(dev, uint64(i)%dev.NumBlocks(), buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -391,12 +391,12 @@ func BenchmarkSmallFileCreate(b *testing.B) {
 	}
 }
 
-// BenchmarkThinRangeWrite compares the vectored thin-volume write path
-// (one pool-lock acquisition + coalesced data-device calls per 64 KB
-// request) against the equivalent block-at-a-time loop, under both the
-// stock sequential allocator (physically contiguous, maximal coalescing)
-// and MobiCeal's random allocator (scattered extents, the win is the
-// single lock + single mapping resolution).
+// BenchmarkThinRangeWrite compares one 64 KB thin-volume WriteVec (one
+// pool-lock acquisition + coalesced data-device calls per request) against
+// the equivalent loop of one-block WriteVec calls, under both the stock
+// sequential allocator (physically contiguous, maximal coalescing) and
+// MobiCeal's random allocator (scattered extents, the win is the single
+// lock + single mapping resolution).
 func BenchmarkThinRangeWrite(b *testing.B) {
 	const chunkBlocks = 16
 	for _, alloc := range []string{"sequential", "random"} {
@@ -435,7 +435,7 @@ func BenchmarkThinRangeWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := (uint64(i) * chunkBlocks) % span
-				if err := thin.WriteBlocks(start, chunk); err != nil {
+				if err := thin.WriteVec(0, start, storage.VecOne(benchBlockSize, chunk)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -447,7 +447,7 @@ func BenchmarkThinRangeWrite(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := (uint64(i) * chunkBlocks) % span
 				for j := uint64(0); j < chunkBlocks; j++ {
-					if err := thin.WriteBlock(start+j, chunk[j*benchBlockSize:(j+1)*benchBlockSize]); err != nil {
+					if err := thin.WriteVec(0, start+j, storage.VecOne(benchBlockSize, chunk[j*benchBlockSize:(j+1)*benchBlockSize])); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -456,8 +456,9 @@ func BenchmarkThinRangeWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkCryptRange compares the vectored dm-crypt path (reusable
-// scratch, one inner call per request) against per-block encryption.
+// BenchmarkCryptRange compares one 16-block dm-crypt WriteVec (reusable
+// scratch, one inner call per request) against a loop of one-block
+// WriteVec calls.
 func BenchmarkCryptRange(b *testing.B) {
 	key := make([]byte, 64)
 	for i := range key {
@@ -476,7 +477,7 @@ func BenchmarkCryptRange(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := (uint64(i) * chunkBlocks) % span
-			if err := c.WriteBlocks(start, chunk); err != nil {
+			if err := c.WriteVec(0, start, storage.VecOne(benchBlockSize, chunk)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -488,7 +489,7 @@ func BenchmarkCryptRange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			start := (uint64(i) * chunkBlocks) % span
 			for j := uint64(0); j < chunkBlocks; j++ {
-				if err := c.WriteBlock(start+j, chunk[j*benchBlockSize:(j+1)*benchBlockSize]); err != nil {
+				if err := c.WriteVec(0, start+j, storage.VecOne(benchBlockSize, chunk[j*benchBlockSize:(j+1)*benchBlockSize])); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -519,7 +520,7 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := thin.WriteBlocks(0, make([]byte, mapped*uint64(benchBlockSize))); err != nil {
+			if err := storage.WriteBlocks(thin, 0, make([]byte, mapped*uint64(benchBlockSize))); err != nil {
 				b.Fatal(err)
 			}
 			if err := pool.Commit(); err != nil {
@@ -533,10 +534,10 @@ func BenchmarkCommitIncremental(b *testing.B) {
 		mutate := func(b *testing.B, thin *thinp.Thin, i int) {
 			b.Helper()
 			vb := mapped + uint64(i)%4096
-			if err := thin.Discard(vb); err != nil {
+			if err := thin.Discard(0, vb, 1); err != nil {
 				b.Fatal(err)
 			}
-			if err := thin.WriteBlocks(vb, one); err != nil {
+			if err := storage.WriteBlocks(thin, vb, one); err != nil {
 				b.Fatal(err)
 			}
 		}

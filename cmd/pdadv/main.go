@@ -96,10 +96,10 @@ func loadSnapshot(path string) (*storage.Snapshot, error) {
 	mem := storage.NewMemDevice(blockSize, dev.NumBlocks())
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < dev.NumBlocks(); i++ {
-		if err := dev.ReadBlock(i, buf); err != nil {
+		if err := storage.ReadBlocks(dev, i, buf); err != nil {
 			return nil, err
 		}
-		if err := mem.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(mem, i, buf); err != nil {
 			return nil, err
 		}
 	}

@@ -46,7 +46,7 @@ func buildImage(t *testing.T, dir string, withHidden bool) (snap1, snap2 string)
 	if err := sys.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Sync(); err != nil {
+	if err := dev.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +78,7 @@ func buildImage(t *testing.T, dir string, withHidden bool) (snap1, snap2 string)
 	if err := sys.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Sync(); err != nil {
+	if err := dev.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	snap2 = filepath.Join(dir, "snap2.img")

@@ -56,11 +56,11 @@ func fbDevice(b *testing.B, backend string, numBlocks uint64) storage.Device {
 		fill := mobiceal.AlignedBuf(64 * fbBlockSize)
 		for at := uint64(0); at < numBlocks; at += 64 {
 			n := min(uint64(64), numBlocks-at)
-			if err := dev.WriteBlocks(at, fill[:n*fbBlockSize]); err != nil {
+			if err := storage.WriteBlocks(dev, at, fill[:n*fbBlockSize]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := dev.Sync(); err != nil {
+		if err := dev.Sync(0); err != nil {
 			b.Fatal(err)
 		}
 		return dev

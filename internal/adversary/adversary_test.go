@@ -115,7 +115,7 @@ func TestFindSignatureCarving(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 16)
 	block := make([]byte, blockSize)
 	copy(block[100:], marker)
-	if err := raw.WriteBlock(3, block); err != nil {
+	if err := storage.WriteBlocks(raw, 3, block); err != nil {
 		t.Fatal(err)
 	}
 	hits := FindSignature(raw.Snapshot(), marker)
@@ -364,12 +364,12 @@ func TestLayoutRunDetectorSeparatesAllocators(t *testing.T) {
 		}
 		buf := make([]byte, blockSize)
 		for i := uint64(0); i < 10; i++ {
-			if err := pub.WriteBlock(i, buf); err != nil {
+			if err := storage.WriteBlocks(pub, i, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := uint64(0); i < 200; i++ { // large hidden file
-			if err := hid.WriteBlock(i, buf); err != nil {
+			if err := storage.WriteBlocks(hid, i, buf); err != nil {
 				t.Fatal(err)
 			}
 		}

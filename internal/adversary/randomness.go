@@ -82,7 +82,7 @@ func FindSignature(snap *storage.Snapshot, pattern []byte) []uint64 {
 	var hits []uint64
 	buf := make([]byte, snap.BlockSize())
 	for idx := uint64(0); idx < snap.NumBlocks(); idx++ {
-		if err := snap.ReadBlock(idx, buf); err != nil {
+		if err := storage.ReadBlocks(snap, idx, buf); err != nil {
 			continue
 		}
 		if bytes.Contains(buf, pattern) {

@@ -103,8 +103,38 @@ func (d *Device) BlockSize() int { return d.phys.BlockSize() }
 // NumBlocks implements storage.Device.
 func (d *Device) NumBlocks() uint64 { return d.logical }
 
+// ReadVec implements storage.Device, one block at a time: map lookup, read
+// the latest version, decrypt (one KST walk + one data pass).
+func (d *Device) ReadVec(_, start uint64, v storage.BlockVec) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := storage.CheckVec(start, v, d.phys.BlockSize(), d.logical); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, dst []byte) error {
+		return d.readBlockLocked(start+uint64(i), dst)
+	})
+}
+
+// WriteVec implements storage.Device, one block at a time: encrypt under
+// the per-block epoch key, append at the log head, and append the
+// re-encrypted KST path.
+func (d *Device) WriteVec(_, start uint64, v storage.BlockVec) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := storage.CheckVec(start, v, d.phys.BlockSize(), d.logical); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, src []byte) error {
+		return d.writeBlockLocked(start+uint64(i), src)
+	})
+}
+
+// Discard implements storage.Device; the log keeps every version.
+func (d *Device) Discard(_, _, _ uint64) error { return nil }
+
 // Sync implements storage.Device.
-func (d *Device) Sync() error { return d.phys.Sync() }
+func (d *Device) Sync(fid uint64) error { return d.phys.Sync(fid) }
 
 // Close implements storage.Device.
 func (d *Device) Close() error { return nil }
@@ -147,23 +177,14 @@ func (d *Device) appendLocked(content []byte) (uint64, error) {
 	}
 	slot := d.head
 	d.head++
-	if err := d.phys.WriteBlock(slot, content); err != nil {
+	if err := storage.WriteBlocks(d.phys, slot, content); err != nil {
 		return 0, err
 	}
 	return slot, nil
 }
 
-// WriteBlock implements storage.Device: encrypt under the per-block
-// epoch key, append at the log head, and append the re-encrypted KST path.
-func (d *Device) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if idx >= d.logical {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, idx, d.logical)
-	}
-	if len(src) != d.phys.BlockSize() {
-		return storage.ErrBadBuffer
-	}
+// writeBlockLocked writes one validated block. Caller holds d.mu.
+func (d *Device) writeBlockLocked(idx uint64, src []byte) error {
 	d.epochs[idx]++
 	key := d.blockKey(idx, d.epochs[idx])
 	blk, err := aes.NewCipher(key[:])
@@ -207,17 +228,8 @@ func (d *Device) WriteBlock(idx uint64, src []byte) error {
 	return nil
 }
 
-// ReadBlock implements storage.Device: map lookup, read the latest version,
-// decrypt (one KST walk + one data pass).
-func (d *Device) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if idx >= d.logical {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, idx, d.logical)
-	}
-	if len(dst) != d.phys.BlockSize() {
-		return storage.ErrBadBuffer
-	}
+// readBlockLocked reads one validated block. Caller holds d.mu.
+func (d *Device) readBlockLocked(idx uint64, dst []byte) error {
 	slot := d.mapping[idx]
 	if slot == ^uint64(0) {
 		for i := range dst {
@@ -225,7 +237,7 @@ func (d *Device) ReadBlock(idx uint64, dst []byte) error {
 		}
 		return nil
 	}
-	if err := d.phys.ReadBlock(slot, dst); err != nil {
+	if err := storage.ReadBlocks(d.phys, slot, dst); err != nil {
 		return err
 	}
 	key := d.blockKey(idx, d.epochs[idx])

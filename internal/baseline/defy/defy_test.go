@@ -33,14 +33,14 @@ func TestReadYourWrites(t *testing.T) {
 		if _, err := src.Read(buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteBlock(idx, buf); err != nil {
+		if err := storage.WriteBlocks(d, idx, buf); err != nil {
 			t.Fatal(err)
 		}
 		content[idx] = buf
 	}
 	got := make([]byte, blockSize)
 	for idx, want := range content {
-		if err := d.ReadBlock(idx, got); err != nil {
+		if err := storage.ReadBlocks(d, idx, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -52,7 +52,7 @@ func TestReadYourWrites(t *testing.T) {
 func TestUnwrittenReadsZero(t *testing.T) {
 	d := newDevice(t, 3, 16)
 	buf := bytes.Repeat([]byte{0xAB}, blockSize)
-	if err := d.ReadBlock(7, buf); err != nil {
+	if err := storage.ReadBlocks(d, 7, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range buf {
@@ -66,7 +66,7 @@ func TestLogStructuredAppends(t *testing.T) {
 	d := newDevice(t, 4, 64)
 	buf := make([]byte, blockSize)
 	head0 := d.LogHead()
-	if err := d.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(d, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	head1 := d.LogHead()
@@ -75,7 +75,7 @@ func TestLogStructuredAppends(t *testing.T) {
 		t.Fatalf("append delta %d, want >= 2 (data + KST path)", head1-head0)
 	}
 	// Overwrite appends again (no in-place update).
-	if err := d.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(d, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if d.LogHead() == head1 {
@@ -92,20 +92,20 @@ func TestEpochChangesCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := bytes.Repeat([]byte{0x77}, blockSize)
-	if err := d.WriteBlock(9, plain); err != nil {
+	if err := storage.WriteBlocks(d, 9, plain); err != nil {
 		t.Fatal(err)
 	}
 	slot1 := d.mapping[9]
-	if err := d.WriteBlock(9, plain); err != nil {
+	if err := storage.WriteBlocks(d, 9, plain); err != nil {
 		t.Fatal(err)
 	}
 	slot2 := d.mapping[9]
 	ct1 := make([]byte, blockSize)
 	ct2 := make([]byte, blockSize)
-	if err := mem.ReadBlock(slot1, ct1); err != nil {
+	if err := storage.ReadBlocks(mem, slot1, ct1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.ReadBlock(slot2, ct2); err != nil {
+	if err := storage.ReadBlocks(mem, slot2, ct2); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(ct1, ct2) {
@@ -123,7 +123,7 @@ func TestLogFull(t *testing.T) {
 	buf := make([]byte, blockSize)
 	var sawFull bool
 	for i := uint64(0); i < 32; i++ {
-		if err := d.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(d, i, buf); err != nil {
 			if errors.Is(err, ErrLogFull) {
 				sawFull = true
 				break
@@ -139,13 +139,13 @@ func TestLogFull(t *testing.T) {
 func TestBounds(t *testing.T) {
 	d := newDevice(t, 7, 16)
 	buf := make([]byte, blockSize)
-	if err := d.WriteBlock(16, buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.WriteBlocks(d, 16, buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := d.ReadBlock(16, buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(d, 16, buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := d.WriteBlock(0, buf[:7]); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(d, 0, buf[:7]); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestCryptoDominatesOnNandsim(t *testing.T) {
 	buf := make([]byte, blockSize)
 	const n = 32
 	for i := uint64(0); i < n; i++ {
-		if err := d.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(d, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ func TestCiphertextOnDisk(t *testing.T) {
 	// Scan the raw device for the plaintext marker.
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < dev.NumBlocks(); i++ {
-		if err := dev.ReadBlock(i, buf); err != nil {
+		if err := storage.ReadBlocks(dev, i, buf); err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Contains(buf, []byte("MARKER42")) {

@@ -172,8 +172,36 @@ func (d *Device) BlockSize() int { return d.phys.BlockSize() }
 // NumBlocks implements storage.Device.
 func (d *Device) NumBlocks() uint64 { return d.logical }
 
+// ReadVec implements storage.Device, one block at a time.
+func (d *Device) ReadVec(_, start uint64, v storage.BlockVec) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := storage.CheckVec(start, v, d.phys.BlockSize(), d.logical); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, dst []byte) error {
+		return d.readBlockLocked(start+uint64(i), dst)
+	})
+}
+
+// WriteVec implements storage.Device: the write-only ORAM protocol, one
+// block at a time.
+func (d *Device) WriteVec(_, start uint64, v storage.BlockVec) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := storage.CheckVec(start, v, d.phys.BlockSize(), d.logical); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, src []byte) error {
+		return d.writeBlockLocked(start+uint64(i), src)
+	})
+}
+
+// Discard implements storage.Device; the ORAM keeps its slots.
+func (d *Device) Discard(_, _, _ uint64) error { return nil }
+
 // Sync implements storage.Device.
-func (d *Device) Sync() error { return d.phys.Sync() }
+func (d *Device) Sync(fid uint64) error { return d.phys.Sync(fid) }
 
 // Close implements storage.Device.
 func (d *Device) Close() error { return nil }
@@ -188,7 +216,7 @@ func (d *Device) encryptSlot(slot uint64, plain []byte) error {
 	}
 	ct := make([]byte, len(plain))
 	cipher.NewCTR(d.aesKey, iv[:]).XORKeyStream(ct, plain)
-	if err := d.phys.WriteBlock(slot, ct); err != nil {
+	if err := storage.WriteBlocks(d.phys, slot, ct); err != nil {
 		return err
 	}
 	d.ivs[slot] = iv
@@ -200,7 +228,7 @@ func (d *Device) encryptSlot(slot uint64, plain []byte) error {
 }
 
 func (d *Device) decryptSlot(slot uint64, dst []byte) error {
-	if err := d.phys.ReadBlock(slot, dst); err != nil {
+	if err := storage.ReadBlocks(d.phys, slot, dst); err != nil {
 		return err
 	}
 	iv := d.ivs[slot]
@@ -221,7 +249,7 @@ func (d *Device) writeIVBlock(slot uint64) error {
 	for i := uint64(0); i < perBlock && first+i < d.slots; i++ {
 		copy(buf[i*ivSize:], d.ivs[first+i][:])
 	}
-	if err := d.phys.WriteBlock(d.ivStart+blockIdx, buf); err != nil {
+	if err := storage.WriteBlocks(d.phys, d.ivStart+blockIdx, buf); err != nil {
 		return fmt.Errorf("hive: writing IV table: %w", err)
 	}
 	return nil
@@ -252,7 +280,7 @@ func (d *Device) writeMapBlock(l uint64) error {
 	if d.cfg.Meter != nil {
 		d.cfg.Meter.ChargeCrypto(len(buf))
 	}
-	if err := d.phys.WriteBlock(d.mapStart+blockIdx, buf); err != nil {
+	if err := storage.WriteBlocks(d.phys, d.mapStart+blockIdx, buf); err != nil {
 		return fmt.Errorf("hive: writing position map: %w", err)
 	}
 	return nil
@@ -268,7 +296,7 @@ func (d *Device) readMapBlock(l uint64) error {
 		blockIdx = d.mapBlocks - 1
 	}
 	buf := make([]byte, bs)
-	if err := d.phys.ReadBlock(d.mapStart+blockIdx, buf); err != nil {
+	if err := storage.ReadBlocks(d.phys, d.mapStart+blockIdx, buf); err != nil {
 		return fmt.Errorf("hive: reading position map: %w", err)
 	}
 	if d.cfg.Meter != nil {
@@ -277,16 +305,8 @@ func (d *Device) readMapBlock(l uint64) error {
 	return nil
 }
 
-// ReadBlock implements storage.Device.
-func (d *Device) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if idx >= d.logical {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, idx, d.logical)
-	}
-	if len(dst) != d.phys.BlockSize() {
-		return storage.ErrBadBuffer
-	}
+// readBlockLocked reads one validated block. Caller holds d.mu.
+func (d *Device) readBlockLocked(idx uint64, dst []byte) error {
 	if pending, ok := d.stash[idx]; ok {
 		copy(dst, pending)
 		return nil
@@ -304,16 +324,9 @@ func (d *Device) ReadBlock(idx uint64, dst []byte) error {
 	return d.decryptSlot(slot, dst)
 }
 
-// WriteBlock implements storage.Device: the write-only ORAM protocol.
-func (d *Device) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if idx >= d.logical {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, idx, d.logical)
-	}
-	if len(src) != d.phys.BlockSize() {
-		return storage.ErrBadBuffer
-	}
+// writeBlockLocked writes one validated block through the write-only ORAM
+// protocol. Caller holds d.mu.
+func (d *Device) writeBlockLocked(idx uint64, src []byte) error {
 	// Invalidate the block's old slot (its content is now stale) and stash
 	// the new data.
 	if old := d.posMap[idx]; old != unassigned {

@@ -41,15 +41,15 @@ func TestReadYourWrites(t *testing.T) {
 		if _, err := src.Read(buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteBlock(idx, buf); err != nil {
-			t.Fatalf("WriteBlock(%d): %v", idx, err)
+		if err := storage.WriteBlocks(d, idx, buf); err != nil {
+			t.Fatalf("WriteBlocks(%d): %v", idx, err)
 		}
 		content[idx] = buf
 	}
 	got := make([]byte, blockSize)
 	for idx, want := range content {
-		if err := d.ReadBlock(idx, got); err != nil {
-			t.Fatalf("ReadBlock(%d): %v", idx, err)
+		if err := storage.ReadBlocks(d, idx, got); err != nil {
+			t.Fatalf("ReadBlocks(%d): %v", idx, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d: content mismatch", idx)
@@ -60,7 +60,7 @@ func TestReadYourWrites(t *testing.T) {
 func TestUnwrittenReadsZero(t *testing.T) {
 	d := newDevice(t, 4, 256)
 	buf := bytes.Repeat([]byte{0xEE}, blockSize)
-	if err := d.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(d, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range buf {
@@ -74,14 +74,14 @@ func TestOverwrite(t *testing.T) {
 	d := newDevice(t, 5, 256)
 	a := bytes.Repeat([]byte{1}, blockSize)
 	b := bytes.Repeat([]byte{2}, blockSize)
-	if err := d.WriteBlock(3, a); err != nil {
+	if err := storage.WriteBlocks(d, 3, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteBlock(3, b); err != nil {
+	if err := storage.WriteBlocks(d, 3, b); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := d.ReadBlock(3, got); err != nil {
+	if err := storage.ReadBlocks(d, 3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, b) {
@@ -92,13 +92,13 @@ func TestOverwrite(t *testing.T) {
 func TestBoundsAndBuffers(t *testing.T) {
 	d := newDevice(t, 6, 256)
 	buf := make([]byte, blockSize)
-	if err := d.ReadBlock(d.LogicalBlocks(), buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(d, d.LogicalBlocks(), buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("read err = %v", err)
 	}
-	if err := d.WriteBlock(d.LogicalBlocks(), buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.WriteBlocks(d, d.LogicalBlocks(), buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("write err = %v", err)
 	}
-	if err := d.WriteBlock(0, buf[:8]); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(d, 0, buf[:8]); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("bad buffer err = %v", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestWritesTouchRandomSlots(t *testing.T) {
 	buf := make([]byte, blockSize)
 	// Write the SAME logical block repeatedly.
 	for i := 0; i < 30; i++ {
-		if err := d.WriteBlock(0, buf); err != nil {
+		if err := storage.WriteBlocks(d, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestWriteAmplification(t *testing.T) {
 	buf := make([]byte, blockSize)
 	const n = 50
 	for i := uint64(0); i < n; i++ {
-		if err := d.WriteBlock(i%d.LogicalBlocks(), buf); err != nil {
+		if err := storage.WriteBlocks(d, i%d.LogicalBlocks(), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestMeterChargedForCrypto(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := d.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(d, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if meter.CryptoBytes() == 0 {
@@ -222,13 +222,13 @@ func TestReadsChargeMapLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := d.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(d, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	stats.ResetStats()
 	const reads = 10
 	for i := 0; i < reads; i++ {
-		if err := d.ReadBlock(0, buf); err != nil {
+		if err := storage.ReadBlocks(d, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,13 +252,13 @@ func TestRepeatedOverwritesStayCorrectUnderChurn(t *testing.T) {
 		for j := range buf {
 			buf[j] = fill
 		}
-		if err := d.WriteBlock(idx, buf); err != nil {
+		if err := storage.WriteBlocks(d, idx, buf); err != nil {
 			t.Fatalf("churn write %d: %v", i, err)
 		}
 		shadow[idx] = fill
 	}
 	for idx, fill := range shadow {
-		if err := d.ReadBlock(idx, buf); err != nil {
+		if err := storage.ReadBlocks(d, idx, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != fill || buf[blockSize-1] != fill {
@@ -271,7 +271,7 @@ func TestStashDrains(t *testing.T) {
 	d := newDevice(t, 13, 2048)
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < d.LogicalBlocks(); i++ {
-		if err := d.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(d, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string) (*System, error
 			if err := xcrypto.FillNoise(cfg.Entropy, noise); err != nil {
 				return nil, fmt.Errorf("mobipluto: generating fill: %w", err)
 			}
-			if err := dev.WriteBlock(metaBlocks+i, noise); err != nil {
+			if err := storage.WriteBlocks(dev, metaBlocks+i, noise); err != nil {
 				return nil, fmt.Errorf("mobipluto: writing fill block %d: %w", i, err)
 			}
 		}

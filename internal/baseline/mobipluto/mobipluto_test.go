@@ -129,7 +129,7 @@ func TestInitialFillLooksRandom(t *testing.T) {
 	buf := make([]byte, blockSize)
 	zeroBlocks := 0
 	for i := uint64(100); i < 200; i++ {
-		if err := dev.ReadBlock(i, buf); err != nil {
+		if err := storage.ReadBlocks(dev, i, buf); err != nil {
 			t.Fatal(err)
 		}
 		allZero := true

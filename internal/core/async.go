@@ -12,10 +12,10 @@ import (
 // fails after the retries — or is not transient to begin with — surfaces.
 func syncRetried(dev storage.Device) error {
 	const attempts = 4
-	err := dev.Sync()
+	err := dev.Sync(0)
 	for attempt := 1; err != nil && storage.IsTransient(err) && attempt < attempts; attempt++ {
 		time.Sleep(time.Duration(attempt) * 200 * time.Microsecond)
-		err = dev.Sync()
+		err = dev.Sync(0)
 	}
 	return err
 }

@@ -9,6 +9,7 @@ import (
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
+	"mobiceal/internal/xcrypto"
 )
 
 const blockSize = 4096
@@ -508,6 +509,44 @@ func TestSetupErrors(t *testing.T) {
 	tiny := storage.NewMemDevice(blockSize, 8)
 	if _, err := Setup(tiny, testConfig(13), "p", nil); !errors.Is(err, ErrTooSmall) {
 		t.Fatalf("tiny device err = %v, want ErrTooSmall", err)
+	}
+}
+
+// TestOpenRejectsTamperedVolumeCount rewrites the footer's NumVolumes,
+// which no checksum covers: Open must refuse a count below 2 (dummy writes
+// would silently stop) or one that disagrees with the pool's thins (dummy
+// writes would aim at volumes that do not exist).
+func TestOpenRejectsTamperedVolumeCount(t *testing.T) {
+	const n = 8
+	cfg := testConfig(15)
+	cfg.NumVolumes = n
+	dev := storage.NewMemDevice(blockSize, 4096)
+	if _, err := Setup(dev, cfg, "decoy-pass", []string{"hidden-pw"}); err != nil {
+		t.Fatal(err)
+	}
+	setCount := func(v uint32) {
+		f, err := xcrypto.ReadFooter(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.NumVolumes = v
+		if err := xcrypto.WriteFooter(dev, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []uint32{0, 1, n + 1, 64} {
+		setCount(v)
+		if _, err := Open(dev, testConfig(15)); !errors.Is(err, xcrypto.ErrBadFooter) {
+			t.Errorf("Open with NumVolumes=%d: %v, want ErrBadFooter", v, err)
+		}
+	}
+	setCount(n)
+	sys, err := Open(dev, testConfig(15))
+	if err != nil {
+		t.Fatalf("Open with the true count: %v", err)
+	}
+	if _, err := sys.OpenPublic("decoy-pass"); err != nil {
+		t.Fatal(err)
 	}
 }
 

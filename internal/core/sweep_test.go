@@ -74,7 +74,7 @@ func newFaultSystem(t *testing.T) (*core.System, *storage.FlakyDevice, *storage.
 		t.Fatalf("OpenHidden: %v", err)
 	}
 	for b := 0; b < sweepHiddenBlocks; b++ {
-		if err := hid.Device().WriteBlock(uint64(sweepHiddenBase+b), sweepHiddenBlockData(b)); err != nil {
+		if err := storage.WriteBlocks(hid.Device(), uint64(sweepHiddenBase+b), sweepHiddenBlockData(b)); err != nil {
 			t.Fatalf("hidden payload block %d: %v", b, err)
 		}
 	}
@@ -122,7 +122,7 @@ func verifyHiddenPayload(t *testing.T, label string, dev storage.Device) *core.S
 	}
 	got := make([]byte, blockSize)
 	for b := 0; b < sweepHiddenBlocks; b++ {
-		if err := hid.Device().ReadBlock(uint64(sweepHiddenBase+b), got); err != nil {
+		if err := storage.ReadBlocks(hid.Device(), uint64(sweepHiddenBase+b), got); err != nil {
 			t.Fatalf("%s: reading hidden block %d: %v", label, b, err)
 		}
 		if !bytes.Equal(got, sweepHiddenBlockData(b)) {
@@ -240,7 +240,7 @@ func TestCoreFaultSweep(t *testing.T) {
 				t.Fatalf("%s: OpenHidden after fault: %v", label, err)
 			}
 			probe := make([]byte, blockSize)
-			if err := hid.Device().ReadBlock(sweepHiddenBase, probe); err != nil {
+			if err := storage.ReadBlocks(hid.Device(), sweepHiddenBase, probe); err != nil {
 				t.Fatalf("%s: read after fault: %v", label, err)
 			}
 			// Drain the scheduler; the commit in Close may legitimately

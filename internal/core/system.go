@@ -280,7 +280,7 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string, hiddenPasswords
 		if err != nil {
 			return nil, err
 		}
-		if err := thin.WriteBlock(0, noise); err != nil {
+		if err := storage.WriteBlocks(thin, 0, noise); err != nil {
 			return nil, fmt.Errorf("core: writing dummy cover block: %w", err)
 		}
 	}
@@ -320,6 +320,13 @@ func Open(dev storage.Device, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading footer: %w", err)
 	}
+	// The footer carries no checksum: a NumVolumes that disagrees with the
+	// pool would silently switch dummy writes off (n < 2) or aim them at
+	// thins that do not exist.
+	if footer.NumVolumes < 2 {
+		return nil, fmt.Errorf("core: %w: %d volumes, need at least 2",
+			xcrypto.ErrBadFooter, footer.NumVolumes)
+	}
 	cfg.NumVolumes = int(footer.NumVolumes)
 	metaBlocks, dataBlocks, _, err := layout(dev)
 	if err != nil {
@@ -334,6 +341,11 @@ func Open(dev storage.Device, cfg Config) (*System, error) {
 	}
 	if err := sys.buildPool(false); err != nil {
 		return nil, err
+	}
+	// ThinIDs is sorted and duplicate-free: n ids from 1 to n are 1..n.
+	if ids := sys.pool.ThinIDs(); len(ids) != cfg.NumVolumes || ids[0] != 1 || ids[len(ids)-1] != cfg.NumVolumes {
+		return nil, fmt.Errorf("core: %w: footer names %d volumes, pool holds thins %v",
+			xcrypto.ErrBadFooter, cfg.NumVolumes, ids)
 	}
 	return sys, nil
 }
@@ -510,7 +522,7 @@ func (s *System) writeVerifier(id int, password string) error {
 	if err != nil {
 		return err
 	}
-	if err := crypt.WriteBlock(0, verifierPlain(password, s.dev.BlockSize())); err != nil {
+	if err := storage.WriteBlocks(crypt, 0, verifierPlain(password, s.dev.BlockSize())); err != nil {
 		return fmt.Errorf("core: writing verifier: %w", err)
 	}
 	return nil
@@ -527,7 +539,7 @@ func (s *System) checkVerifier(id int, crypt *dm.Crypt, password string) (bool, 
 		return false, nil
 	}
 	buf := make([]byte, s.dev.BlockSize())
-	if err := crypt.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(crypt, 0, buf); err != nil {
 		return false, fmt.Errorf("core: reading verifier: %w", err)
 	}
 	want := verifierPlain(password, s.dev.BlockSize())

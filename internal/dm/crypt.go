@@ -22,15 +22,6 @@ type Crypt struct {
 	scratch storage.BufPool
 }
 
-var (
-	_ storage.RangeDevice       = (*Crypt)(nil)
-	_ storage.VecDevice         = (*Crypt)(nil)
-	_ storage.FlightRangeDevice = (*Crypt)(nil)
-	_ storage.FlightVecDevice   = (*Crypt)(nil)
-	_ storage.FlightDiscarder   = (*Crypt)(nil)
-	_ storage.FlightSyncer      = (*Crypt)(nil)
-)
-
 // NewCrypt layers cipher over inner. meter may be nil; when set, crypto
 // work and target traversal are charged to it so experiments account for
 // encryption cost the way the paper's testbed pays it.
@@ -44,142 +35,23 @@ func (c *Crypt) BlockSize() int { return c.inner.BlockSize() }
 // NumBlocks implements storage.Device.
 func (c *Crypt) NumBlocks() uint64 { return c.inner.NumBlocks() }
 
-// ReadBlock implements storage.Device: read ciphertext, decrypt in place.
-func (c *Crypt) ReadBlock(idx uint64, dst []byte) error {
-	if err := c.inner.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if err := c.cipher.DecryptSector(idx, dst, dst); err != nil {
-		return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(dst))
-		c.meter.ChargeTraversalRead()
-	}
-	return nil
-}
-
-// WriteBlock implements storage.Device: encrypt into a scratch buffer, then
-// write ciphertext. The caller's buffer is never modified.
-func (c *Crypt) WriteBlock(idx uint64, src []byte) error {
-	ct := c.scratch.Get(len(src))
-	defer c.scratch.Put(ct)
-	if err := c.cipher.EncryptSector(idx, ct, src); err != nil {
-		return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
-	}
-	if err := c.inner.WriteBlock(idx, ct); err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(src))
-		c.meter.ChargeTraversalWrite()
-	}
-	return nil
-}
-
-// ReadBlocks implements storage.RangeDevice: one vectored ciphertext read,
-// then per-sector decryption in place. Virtual-clock charges stay
-// per-block so the paper-calibrated testbed numbers are unchanged by
-// vectoring; only the real CPU cost drops.
-func (c *Crypt) ReadBlocks(start uint64, dst []byte) error {
-	return c.readBlocksF(0, start, dst)
-}
-
-// ReadBlocksFlight implements storage.FlightRangeDevice.
-func (c *Crypt) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	return c.readBlocksF(fid, start, dst)
-}
-
-func (c *Crypt) readBlocksF(fid, start uint64, dst []byte) error {
-	bs := c.inner.BlockSize()
-	if len(dst)%bs != 0 {
-		return storage.ErrBadBuffer
-	}
-	if err := storage.ReadBlocksFlight(c.inner, fid, start, dst); err != nil {
-		return err
-	}
-	n := len(dst) / bs
-	for i := 0; i < n; i++ {
-		idx := start + uint64(i)
-		if err := c.cipher.DecryptSector(idx, dst[i*bs:(i+1)*bs], dst[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-		}
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(dst))
-		for i := 0; i < n; i++ {
-			c.meter.ChargeTraversalRead()
-		}
-	}
-	return nil
-}
-
-// WriteBlocks implements storage.RangeDevice: per-sector encryption into
-// one reusable scratch buffer, then one vectored ciphertext write. The
-// caller's buffer is never modified.
-func (c *Crypt) WriteBlocks(start uint64, src []byte) error {
-	return c.writeBlocksF(0, start, src)
-}
-
-// WriteBlocksFlight implements storage.FlightRangeDevice.
-func (c *Crypt) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	return c.writeBlocksF(fid, start, src)
-}
-
-func (c *Crypt) writeBlocksF(fid, start uint64, src []byte) error {
-	bs := c.inner.BlockSize()
-	if len(src)%bs != 0 {
-		return storage.ErrBadBuffer
-	}
-	ct := c.scratch.Get(len(src))
-	defer c.scratch.Put(ct)
-	for i := 0; i*bs < len(src); i++ {
-		idx := start + uint64(i)
-		if err := c.cipher.EncryptSector(idx, ct[i*bs:(i+1)*bs], src[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
-		}
-	}
-	if err := storage.WriteBlocksFlight(c.inner, fid, start, ct); err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(src))
-		for i := 0; i*bs < len(src); i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return nil
-}
-
-// ReadBlocksVec implements storage.VecDevice: one scatter-gather
-// ciphertext read straight into the caller's segments, then per-sector
-// decryption in place — no intermediate buffer at all on the read path.
-// Virtual-clock charges stay per-block, as on every path.
-func (c *Crypt) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return c.readBlocksVecF(0, start, v)
-}
-
-// ReadBlocksVecFlight implements storage.FlightVecDevice.
-func (c *Crypt) ReadBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return c.readBlocksVecF(fid, start, v)
-}
-
-func (c *Crypt) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
+// ReadVec implements storage.Device: one scatter-gather ciphertext read
+// straight into the caller's segments, then per-sector decryption in place
+// — no intermediate buffer at all on the read path. Virtual-clock charges
+// are per block, so the paper-calibrated testbed numbers do not depend on
+// how a request was merged or segmented.
+func (c *Crypt) ReadVec(fid, start uint64, v storage.BlockVec) error {
 	bs := c.inner.BlockSize()
 	if v.BlockSize() != bs && v.Segments() > 0 {
 		return storage.ErrBadBuffer
 	}
-	if err := storage.ReadBlocksVecFlight(c.inner, fid, start, v); err != nil {
+	if err := c.inner.ReadVec(fid, start, v); err != nil {
 		return err
 	}
-	n := 0
-	err := v.Range(func(off int, seg []byte) error {
-		for i := 0; i*bs < len(seg); i++ {
-			idx := start + uint64(off+i)
-			if err := c.cipher.DecryptSector(idx, seg[i*bs:(i+1)*bs], seg[i*bs:(i+1)*bs]); err != nil {
-				return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-			}
-			n++
+	err := v.EachBlock(func(i int, blk []byte) error {
+		idx := start + uint64(i)
+		if err := c.cipher.DecryptSector(idx, blk, blk); err != nil {
+			return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
 		}
 		return nil
 	})
@@ -188,46 +60,31 @@ func (c *Crypt) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 	}
 	if c.meter != nil {
 		c.meter.ChargeCrypto(v.Bytes())
-		for i := 0; i < n; i++ {
+		for i, n := 0, v.Len(); i < n; i++ {
 			c.meter.ChargeTraversalRead()
 		}
 	}
 	return nil
 }
 
-// WriteBlocksVec implements storage.VecDevice: each plaintext segment is
-// encrypted into a same-sized pooled ciphertext segment — no gather into a
-// flat buffer — and the resulting ciphertext vec goes down as one
-// scatter-gather write, so a vec-native inner device (a thin volume) sees
-// the original segmentation. The caller's buffers are never modified.
-func (c *Crypt) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return c.writeBlocksVecF(0, start, v)
-}
-
-// WriteBlocksVecFlight implements storage.FlightVecDevice.
-func (c *Crypt) WriteBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return c.writeBlocksVecF(fid, start, v)
-}
-
-func (c *Crypt) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
+// WriteVec implements storage.Device: the plaintext segments are encrypted
+// into one pooled ciphertext buffer, carved into segments of the same
+// sizes, and the ciphertext vec goes down as one scatter-gather write — so
+// the inner device (a thin volume) sees the original segmentation. The
+// caller's buffers are never modified.
+func (c *Crypt) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	bs := c.inner.BlockSize()
 	if v.BlockSize() != bs && v.Segments() > 0 {
 		return storage.ErrBadBuffer
 	}
-	nseg := v.Segments()
-	if nseg == 0 {
+	if v.Segments() == 0 {
 		return nil
 	}
-	ctSegs := make([][]byte, 0, nseg)
-	defer func() {
-		for _, ct := range ctSegs {
-			c.scratch.Put(ct)
-		}
-	}()
+	buf := c.scratch.Get(v.Bytes())
+	defer c.scratch.Put(buf)
 	ct := storage.Vec(bs)
 	err := v.Range(func(off int, seg []byte) error {
-		ctSeg := c.scratch.Get(len(seg))
-		ctSegs = append(ctSegs, ctSeg)
+		ctSeg := buf[off*bs : off*bs+len(seg)]
 		ct = ct.Append(ctSeg)
 		for i := 0; i*bs < len(seg); i++ {
 			idx := start + uint64(off+i)
@@ -240,7 +97,7 @@ func (c *Crypt) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 	if err != nil {
 		return err
 	}
-	if err := storage.WriteBlocksVecFlight(c.inner, fid, start, ct); err != nil {
+	if err := c.inner.WriteVec(fid, start, ct); err != nil {
 		return err
 	}
 	if c.meter != nil {
@@ -253,14 +110,14 @@ func (c *Crypt) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 	return nil
 }
 
-// DiscardRange implements storage.Discarder: a discard carries no data to
-// encrypt, so it passes straight through to the inner device (dm-crypt
-// likewise forwards discards when allow_discards is set). The security
-// note from the kernel applies here too — discard patterns are visible to
-// an adversary below the crypt layer — which is exactly MobiCeal's threat
+// Discard implements storage.Device: a discard carries no data to encrypt,
+// so it passes straight through to the inner device (dm-crypt likewise
+// forwards discards when allow_discards is set). The security note from
+// the kernel applies here too — discard patterns are visible to an
+// adversary below the crypt layer — which is exactly MobiCeal's threat
 // model: block-level allocation state is public, and deniability rests on
 // dummy writes, not on hiding discards.
-func (c *Crypt) DiscardRange(start, count uint64) error {
+func (c *Crypt) Discard(fid, start, count uint64) error {
 	if c.meter != nil {
 		// Per-block traversal charges, like the read/write paths: the
 		// virtual-clock cost must not depend on how a scheduler happened
@@ -269,26 +126,12 @@ func (c *Crypt) DiscardRange(start, count uint64) error {
 			c.meter.ChargeTraversalWrite()
 		}
 	}
-	return storage.Discard(c.inner, start, count)
+	return c.inner.Discard(fid, start, count)
 }
 
-// DiscardFlight implements storage.FlightDiscarder with the same charging
-// as DiscardRange.
-func (c *Crypt) DiscardFlight(fid, start, count uint64) error {
-	if c.meter != nil {
-		for i := uint64(0); i < count; i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return storage.DiscardFlight(c.inner, fid, start, count)
-}
-
-// Sync implements storage.Device.
-func (c *Crypt) Sync() error { return c.inner.Sync() }
-
-// SyncFlight implements storage.FlightSyncer: the id rides the barrier down
-// to the thin pool's group-commit door.
-func (c *Crypt) SyncFlight(fid uint64) error { return storage.SyncFlight(c.inner, fid) }
+// Sync implements storage.Device: the id rides the barrier down to the
+// thin pool's group-commit door.
+func (c *Crypt) Sync(fid uint64) error { return c.inner.Sync(fid) }
 
 // Close implements storage.Device. Closing the crypt view does not close
 // the underlying device: tearing down a dm device leaves the partition.

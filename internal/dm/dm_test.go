@@ -34,12 +34,12 @@ func TestCryptRoundtrip(t *testing.T) {
 	if _, err := prng.NewSource(9).Read(plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBlock(5, plain); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := storage.WriteBlocks(c, 5, plain); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	got := make([]byte, blockSize)
-	if err := c.ReadBlock(5, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := storage.ReadBlocks(c, 5, got); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(plain, got) {
 		t.Fatal("crypt roundtrip mismatch")
@@ -50,11 +50,11 @@ func TestCryptCiphertextOnDisk(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 32)
 	c := NewCrypt(raw, newXTS(t, 2), nil)
 	plain := bytes.Repeat([]byte("secret!!"), blockSize/8)
-	if err := c.WriteBlock(0, plain); err != nil {
+	if err := storage.WriteBlocks(c, 0, plain); err != nil {
 		t.Fatal(err)
 	}
 	onDisk := make([]byte, blockSize)
-	if err := raw.ReadBlock(0, onDisk); err != nil {
+	if err := storage.ReadBlocks(raw, 0, onDisk); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(onDisk, plain) {
@@ -70,11 +70,11 @@ func TestCryptDoesNotMutateCallerBuffer(t *testing.T) {
 	c := NewCrypt(raw, newXTS(t, 3), nil)
 	plain := bytes.Repeat([]byte{0x42}, blockSize)
 	orig := append([]byte(nil), plain...)
-	if err := c.WriteBlock(1, plain); err != nil {
+	if err := storage.WriteBlocks(c, 1, plain); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, orig) {
-		t.Fatal("WriteBlock mutated the caller's buffer")
+		t.Fatal("WriteBlocks mutated the caller's buffer")
 	}
 }
 
@@ -82,12 +82,12 @@ func TestCryptDifferentKeysSeeGarbage(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
 	cA := NewCrypt(raw, newXTS(t, 4), nil)
 	plain := bytes.Repeat([]byte{0x11}, blockSize)
-	if err := cA.WriteBlock(0, plain); err != nil {
+	if err := storage.WriteBlocks(cA, 0, plain); err != nil {
 		t.Fatal(err)
 	}
 	cB := NewCrypt(raw, newXTS(t, 5), nil)
 	got := make([]byte, blockSize)
-	if err := cB.ReadBlock(0, got); err != nil {
+	if err := storage.ReadBlocks(cB, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got, plain) {
@@ -99,18 +99,18 @@ func TestCryptSamePlaintextDifferentBlocksDiffers(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
 	c := NewCrypt(raw, newXTS(t, 6), nil)
 	plain := bytes.Repeat([]byte{0x77}, blockSize)
-	if err := c.WriteBlock(0, plain); err != nil {
+	if err := storage.WriteBlocks(c, 0, plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBlock(1, plain); err != nil {
+	if err := storage.WriteBlocks(c, 1, plain); err != nil {
 		t.Fatal(err)
 	}
 	a := make([]byte, blockSize)
 	b := make([]byte, blockSize)
-	if err := raw.ReadBlock(0, a); err != nil {
+	if err := storage.ReadBlocks(raw, 0, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.ReadBlock(1, b); err != nil {
+	if err := storage.ReadBlocks(raw, 1, b); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a, b) {
@@ -124,10 +124,10 @@ func TestCryptChargesMeter(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
 	c := NewCrypt(raw, newXTS(t, 7), meter)
 	buf := make([]byte, blockSize)
-	if err := c.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(c, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(c, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if meter.CryptoBytes() != 2*blockSize {
@@ -153,11 +153,11 @@ func TestCryptWithESSIV(t *testing.T) {
 	if _, err := prng.NewSource(1).Read(plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBlock(3, plain); err != nil {
+	if err := storage.WriteBlocks(c, 3, plain); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := c.ReadBlock(3, got); err != nil {
+	if err := storage.ReadBlocks(c, 3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, got) {
@@ -175,17 +175,17 @@ func TestLinearRemaps(t *testing.T) {
 		t.Fatalf("NumBlocks = %d", lin.NumBlocks())
 	}
 	buf := bytes.Repeat([]byte{9}, blockSize)
-	if err := lin.WriteBlock(3, buf); err != nil {
+	if err := storage.WriteBlocks(lin, 3, buf); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := raw.ReadBlock(43, got); err != nil {
+	if err := storage.ReadBlocks(raw, 43, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, got) {
 		t.Fatal("linear target did not remap to parent offset")
 	}
-	if err := lin.ReadBlock(10, got); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(lin, 10, got); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out-of-range read err = %v", err)
 	}
 }
@@ -200,10 +200,10 @@ func TestLinearRejectsBadRange(t *testing.T) {
 func TestZeroDevice(t *testing.T) {
 	z := NewZero(blockSize, 4)
 	buf := bytes.Repeat([]byte{0xFF}, blockSize)
-	if err := z.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(z, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(z, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range buf {
@@ -211,13 +211,13 @@ func TestZeroDevice(t *testing.T) {
 			t.Fatalf("byte %d = %#x after zero read", i, b)
 		}
 	}
-	if err := z.ReadBlock(4, buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(z, 4, buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
-	if err := z.WriteBlock(0, buf[:10]); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(z, 0, buf[:10]); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("err = %v, want ErrBadBuffer", err)
 	}
-	if err := z.Sync(); err != nil {
+	if err := z.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := z.Close(); err != nil {
@@ -259,7 +259,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	// Removed device must be closed.
 	buf := make([]byte, blockSize)
-	if err := devA.ReadBlock(0, buf); !errors.Is(err, storage.ErrClosed) {
+	if err := storage.ReadBlocks(devA, 0, buf); !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("read after Remove err = %v, want ErrClosed", err)
 	}
 }
@@ -279,11 +279,11 @@ func TestPropertyCryptOverLinearRoundtrip(t *testing.T) {
 		if _, err := prng.NewSource(seed).Read(plain); err != nil {
 			return false
 		}
-		if err := c.WriteBlock(idx, plain); err != nil {
+		if err := storage.WriteBlocks(c, idx, plain); err != nil {
 			return false
 		}
 		got := make([]byte, blockSize)
-		if err := c.ReadBlock(idx, got); err != nil {
+		if err := storage.ReadBlocks(c, idx, got); err != nil {
 			return false
 		}
 		return bytes.Equal(plain, got)
@@ -305,7 +305,7 @@ func BenchmarkCryptWrite4K(b *testing.B) {
 	b.SetBytes(blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.WriteBlock(uint64(i)%1024, buf); err != nil {
+		if err := storage.WriteBlocks(c, uint64(i)%1024, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,11 +12,6 @@ type Linear struct {
 	slice *storage.SliceDevice
 }
 
-var (
-	_ storage.RangeDevice = (*Linear)(nil)
-	_ storage.VecDevice   = (*Linear)(nil)
-)
-
 // NewLinear maps blocks [start, start+length) of inner.
 func NewLinear(inner storage.Device, start, length uint64) (*Linear, error) {
 	s, err := storage.NewSliceDevice(inner, start, length)
@@ -32,30 +27,22 @@ func (l *Linear) BlockSize() int { return l.slice.BlockSize() }
 // NumBlocks implements storage.Device.
 func (l *Linear) NumBlocks() uint64 { return l.slice.NumBlocks() }
 
-// ReadBlock implements storage.Device.
-func (l *Linear) ReadBlock(idx uint64, dst []byte) error { return l.slice.ReadBlock(idx, dst) }
-
-// WriteBlock implements storage.Device.
-func (l *Linear) WriteBlock(idx uint64, src []byte) error { return l.slice.WriteBlock(idx, src) }
-
-// ReadBlocks implements storage.RangeDevice.
-func (l *Linear) ReadBlocks(start uint64, dst []byte) error { return l.slice.ReadBlocks(start, dst) }
-
-// WriteBlocks implements storage.RangeDevice.
-func (l *Linear) WriteBlocks(start uint64, src []byte) error { return l.slice.WriteBlocks(start, src) }
-
-// ReadBlocksVec implements storage.VecDevice.
-func (l *Linear) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return l.slice.ReadBlocksVec(start, v)
+// ReadVec implements storage.Device.
+func (l *Linear) ReadVec(fid, start uint64, v storage.BlockVec) error {
+	return l.slice.ReadVec(fid, start, v)
 }
 
-// WriteBlocksVec implements storage.VecDevice.
-func (l *Linear) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return l.slice.WriteBlocksVec(start, v)
+// WriteVec implements storage.Device.
+func (l *Linear) WriteVec(fid, start uint64, v storage.BlockVec) error {
+	return l.slice.WriteVec(fid, start, v)
 }
+
+// Discard implements storage.Device; the linear target does not pass
+// discards down.
+func (l *Linear) Discard(_, _, _ uint64) error { return nil }
 
 // Sync implements storage.Device.
-func (l *Linear) Sync() error { return l.slice.Sync() }
+func (l *Linear) Sync(fid uint64) error { return l.slice.Sync(fid) }
 
 // Close implements storage.Device.
 func (l *Linear) Close() error { return nil }
@@ -68,11 +55,6 @@ type Zero struct {
 	numBlocks uint64
 }
 
-var (
-	_ storage.RangeDevice = (*Zero)(nil)
-	_ storage.VecDevice   = (*Zero)(nil)
-)
-
 // NewZero returns a dm-zero device of the given geometry.
 func NewZero(blockSize int, numBlocks uint64) *Zero {
 	return &Zero{blockSize: blockSize, numBlocks: numBlocks}
@@ -84,61 +66,9 @@ func (z *Zero) BlockSize() int { return z.blockSize }
 // NumBlocks implements storage.Device.
 func (z *Zero) NumBlocks() uint64 { return z.numBlocks }
 
-// ReadBlock implements storage.Device.
-func (z *Zero) ReadBlock(idx uint64, dst []byte) error {
-	if idx >= z.numBlocks {
-		return fmt.Errorf("%w: block %d", storage.ErrOutOfRange, idx)
-	}
-	if len(dst) != z.blockSize {
-		return storage.ErrBadBuffer
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	return nil
-}
-
-// WriteBlock implements storage.Device.
-func (z *Zero) WriteBlock(idx uint64, src []byte) error {
-	if idx >= z.numBlocks {
-		return fmt.Errorf("%w: block %d", storage.ErrOutOfRange, idx)
-	}
-	if len(src) != z.blockSize {
-		return storage.ErrBadBuffer
-	}
-	return nil
-}
-
-// ReadBlocks implements storage.RangeDevice.
-func (z *Zero) ReadBlocks(start uint64, dst []byte) error {
-	if len(dst)%z.blockSize != 0 {
-		return storage.ErrBadBuffer
-	}
-	n := uint64(len(dst) / z.blockSize)
-	if n > 0 && (start >= z.numBlocks || n > z.numBlocks-start) {
-		return fmt.Errorf("%w: blocks [%d, %d)", storage.ErrOutOfRange, start, start+n)
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	return nil
-}
-
-// WriteBlocks implements storage.RangeDevice.
-func (z *Zero) WriteBlocks(start uint64, src []byte) error {
-	if len(src)%z.blockSize != 0 {
-		return storage.ErrBadBuffer
-	}
-	n := uint64(len(src) / z.blockSize)
-	if n > 0 && (start >= z.numBlocks || n > z.numBlocks-start) {
-		return fmt.Errorf("%w: blocks [%d, %d)", storage.ErrOutOfRange, start, start+n)
-	}
-	return nil
-}
-
-// ReadBlocksVec implements storage.VecDevice: every segment zero-fills.
-func (z *Zero) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	if err := z.checkVec(start, v); err != nil {
+// ReadVec implements storage.Device: every segment zero-fills.
+func (z *Zero) ReadVec(_, start uint64, v storage.BlockVec) error {
+	if err := storage.CheckVec(start, v, z.blockSize, z.numBlocks); err != nil {
 		return err
 	}
 	return v.Range(func(_ int, seg []byte) error {
@@ -147,29 +77,16 @@ func (z *Zero) ReadBlocksVec(start uint64, v storage.BlockVec) error {
 	})
 }
 
-// WriteBlocksVec implements storage.VecDevice: writes are discarded.
-func (z *Zero) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return z.checkVec(start, v)
+// WriteVec implements storage.Device: writes are discarded.
+func (z *Zero) WriteVec(_, start uint64, v storage.BlockVec) error {
+	return storage.CheckVec(start, v, z.blockSize, z.numBlocks)
 }
 
-// checkVec validates a vec request against the zero target's geometry,
-// with the same block-size rule as every other VecDevice.
-func (z *Zero) checkVec(start uint64, v storage.BlockVec) error {
-	if v.Segments() == 0 {
-		return nil
-	}
-	if v.BlockSize() != z.blockSize {
-		return storage.ErrBadBuffer
-	}
-	n := uint64(v.Len())
-	if start >= z.numBlocks || n > z.numBlocks-start {
-		return fmt.Errorf("%w: blocks [%d, %d)", storage.ErrOutOfRange, start, start+n)
-	}
-	return nil
-}
+// Discard implements storage.Device.
+func (z *Zero) Discard(_, _, _ uint64) error { return nil }
 
 // Sync implements storage.Device.
-func (z *Zero) Sync() error { return nil }
+func (z *Zero) Sync(uint64) error { return nil }
 
 // Close implements storage.Device.
 func (z *Zero) Close() error { return nil }

@@ -34,13 +34,13 @@ func TestCryptRangeMatchesBlockwise(t *testing.T) {
 	// Vectored write, per-block read back.
 	data := make([]byte, 8*512)
 	rng.Read(data)
-	if err := c.WriteBlocks(3, data); err != nil {
+	if err := storage.WriteBlocks(c, 3, data); err != nil {
 		t.Fatalf("WriteBlocks: %v", err)
 	}
 	for i := 0; i < 8; i++ {
 		got := make([]byte, 512)
-		if err := c.ReadBlock(uint64(3+i), got); err != nil {
-			t.Fatalf("ReadBlock: %v", err)
+		if err := storage.ReadBlocks(c, uint64(3+i), got); err != nil {
+			t.Fatalf("ReadBlocks: %v", err)
 		}
 		if !bytes.Equal(got, data[i*512:(i+1)*512]) {
 			t.Fatalf("block %d: per-block read diverges from vectored write", 3+i)
@@ -49,12 +49,12 @@ func TestCryptRangeMatchesBlockwise(t *testing.T) {
 	// Per-block write, vectored read back.
 	rng.Read(data)
 	for i := 0; i < 8; i++ {
-		if err := c.WriteBlock(uint64(12+i), data[i*512:(i+1)*512]); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
+		if err := storage.WriteBlocks(c, uint64(12+i), data[i*512:(i+1)*512]); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
 		}
 	}
 	got := make([]byte, 8*512)
-	if err := c.ReadBlocks(12, got); err != nil {
+	if err := storage.ReadBlocks(c, 12, got); err != nil {
 		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(got, data) {
@@ -64,7 +64,7 @@ func TestCryptRangeMatchesBlockwise(t *testing.T) {
 	// and decrypt per-sector — i.e. the vectored path used the same sector
 	// numbering as the per-block path.
 	ct := make([]byte, 512)
-	if err := inner.ReadBlock(3, ct); err != nil {
+	if err := storage.ReadBlocks(inner, 3, ct); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(ct, data[:512]) {
@@ -74,7 +74,7 @@ func TestCryptRangeMatchesBlockwise(t *testing.T) {
 	orig := make([]byte, 4*512)
 	rng.Read(orig)
 	cp := append([]byte(nil), orig...)
-	if err := c.WriteBlocks(20, cp); err != nil {
+	if err := storage.WriteBlocks(c, 20, cp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(orig, cp) {
@@ -84,10 +84,10 @@ func TestCryptRangeMatchesBlockwise(t *testing.T) {
 
 func TestCryptRangeRejectsMisalignedBuffers(t *testing.T) {
 	c, _ := testCrypt(t, 8)
-	if err := c.WriteBlocks(0, make([]byte, 513)); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(c, 0, make([]byte, 513)); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("misaligned write err = %v, want ErrBadBuffer", err)
 	}
-	if err := c.ReadBlocks(0, make([]byte, 1023)); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.ReadBlocks(c, 0, make([]byte, 1023)); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("misaligned read err = %v, want ErrBadBuffer", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestLinearAndZeroRange(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := lin.WriteBlocks(2, data); err != nil {
+	if err := storage.WriteBlocks(lin, 2, data); err != nil {
 		t.Fatalf("linear WriteBlocks: %v", err)
 	}
 	got := make([]byte, 4*512)
@@ -112,13 +112,13 @@ func TestLinearAndZeroRange(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("linear range write landed at wrong offset")
 	}
-	if err := lin.ReadBlocks(31, make([]byte, 2*512)); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(lin, 31, make([]byte, 2*512)); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("linear overrun err = %v, want ErrOutOfRange", err)
 	}
 
 	z := NewZero(512, 8)
 	buf := bytes.Repeat([]byte{0xFF}, 3*512)
-	if err := z.ReadBlocks(1, buf); err != nil {
+	if err := storage.ReadBlocks(z, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range buf {
@@ -126,10 +126,10 @@ func TestLinearAndZeroRange(t *testing.T) {
 			t.Fatalf("zero device byte %d = %#x", i, b)
 		}
 	}
-	if err := z.WriteBlocks(5, make([]byte, 3*512)); err != nil {
+	if err := storage.WriteBlocks(z, 5, make([]byte, 3*512)); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.WriteBlocks(7, make([]byte, 2*512)); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.WriteBlocks(z, 7, make([]byte, 2*512)); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("zero overrun err = %v, want ErrOutOfRange", err)
 	}
 }

@@ -58,22 +58,22 @@ func TestCryptVecFlatEquivalence(t *testing.T) {
 		if _, err := src.Read(buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := cVec.WriteBlocksVec(start, vecOver(src, bs, buf)); err != nil {
+		if err := cVec.WriteVec(0, start, vecOver(src, bs, buf)); err != nil {
 			t.Fatalf("round %d: vec write: %v", r, err)
 		}
-		if err := cFlat.WriteBlocks(start, buf); err != nil {
+		if err := storage.WriteBlocks(cFlat, start, buf); err != nil {
 			t.Fatal(err)
 		}
 		// Plaintext reads agree through both paths.
 		got := make([]byte, len(buf))
-		if err := cVec.ReadBlocksVec(start, vecOver(src, bs, got)); err != nil {
+		if err := cVec.ReadVec(0, start, vecOver(src, bs, got)); err != nil {
 			t.Fatalf("round %d: vec read: %v", r, err)
 		}
 		if !bytes.Equal(got, buf) {
 			t.Fatalf("round %d: vec read round-trip mismatch", r)
 		}
 		flatGot := make([]byte, len(buf))
-		if err := cFlat.ReadBlocks(start, flatGot); err != nil {
+		if err := storage.ReadBlocks(cFlat, start, flatGot); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(flatGot, buf) {
@@ -116,11 +116,11 @@ func TestCryptVecMeterParity(t *testing.T) {
 		buf := make([]byte, 12*bs)
 		var werr, rerr error
 		if vec {
-			werr = c.WriteBlocksVec(3, vecOver(src, bs, buf))
-			rerr = c.ReadBlocksVec(3, vecOver(src, bs, buf))
+			werr = c.WriteVec(0, 3, vecOver(src, bs, buf))
+			rerr = c.ReadVec(0, 3, vecOver(src, bs, buf))
 		} else {
-			werr = c.WriteBlocks(3, buf)
-			rerr = c.ReadBlocks(3, buf)
+			werr = storage.WriteBlocks(c, 3, buf)
+			rerr = storage.ReadBlocks(c, 3, buf)
 		}
 		if werr != nil || rerr != nil {
 			t.Fatal(werr, rerr)
@@ -145,11 +145,11 @@ func TestLinearZeroVec(t *testing.T) {
 	if _, err := src.Read(buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := lin.WriteBlocksVec(4, vecOver(src, bs, buf)); err != nil {
+	if err := lin.WriteVec(0, 4, vecOver(src, bs, buf)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(buf))
-	if err := lin.ReadBlocksVec(4, vecOver(src, bs, got)); err != nil {
+	if err := lin.ReadVec(0, 4, vecOver(src, bs, got)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, buf) {
@@ -170,10 +170,10 @@ func TestLinearZeroVec(t *testing.T) {
 		zbuf[i] = 0xff
 	}
 	v := storage.Vec(bs, zbuf[:bs], zbuf[bs:])
-	if err := z.WriteBlocksVec(0, v); err != nil {
+	if err := z.WriteVec(0, 0, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.ReadBlocksVec(0, v); err != nil {
+	if err := z.ReadVec(0, 0, v); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range zbuf {
@@ -181,17 +181,17 @@ func TestLinearZeroVec(t *testing.T) {
 			t.Fatal("dm-zero vec read returned nonzero")
 		}
 	}
-	if err := z.ReadBlocksVec(14, v); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := z.ReadVec(0, 14, v); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out-of-range zero vec: %v", err)
 	}
 	// A vec carrying the wrong block size is rejected like the flat path
 	// rejects misaligned buffers — the vec and flat paths of a device
 	// must agree on malformed requests.
 	wrong := storage.Vec(bs/2, make([]byte, bs/2), make([]byte, bs/2))
-	if err := z.ReadBlocksVec(0, wrong); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := z.ReadVec(0, 0, wrong); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("wrong-block-size zero vec read: %v, want ErrBadBuffer", err)
 	}
-	if err := z.WriteBlocksVec(0, wrong); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := z.WriteVec(0, 0, wrong); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("wrong-block-size zero vec write: %v, want ErrBadBuffer", err)
 	}
 }

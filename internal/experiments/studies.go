@@ -491,7 +491,7 @@ func GCStudy(seed uint64) ([]GCRow, error) {
 					if vb == 0 {
 						continue
 					}
-					if err := thin.Discard(vb); err != nil {
+					if err := thin.Discard(0, vb, 1); err != nil {
 						return GCRow{}, err
 					}
 					reclaimed++

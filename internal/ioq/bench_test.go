@@ -29,24 +29,12 @@ func (d *plugDevice) arm() {
 	d.armed.Store(true)
 }
 
-func (d *plugDevice) WriteBlocks(start uint64, src []byte) error {
+func (d *plugDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	if start == d.plug && d.armed.CompareAndSwap(true, false) {
 		close(d.entered)
 		<-d.gate
 	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *plugDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *plugDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *plugDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
+	return d.Device.WriteVec(fid, start, v)
 }
 
 // gatherDevice reintroduces, as a stacking layer, the scratch gather /
@@ -60,32 +48,27 @@ type gatherDevice struct {
 	scratch storage.BufPool
 }
 
-func (d *gatherDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
+func (d *gatherDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	buf := d.scratch.Get(v.Bytes())
 	defer d.scratch.Put(buf)
 	off := 0
 	for i := 0; i < v.Segments(); i++ {
 		off += copy(buf[off:], v.Seg(i))
 	}
-	return storage.WriteBlocks(d.Device, start, buf)
+	return d.Device.WriteVec(fid, start, storage.VecOne(v.BlockSize(), buf))
 }
 
-func (d *gatherDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
+func (d *gatherDevice) ReadVec(fid, start uint64, v storage.BlockVec) error {
 	buf := d.scratch.Get(v.Bytes())
 	defer d.scratch.Put(buf)
-	if err := storage.ReadBlocks(d.Device, start, buf); err != nil {
+	if err := d.Device.ReadVec(fid, start, storage.VecOne(v.BlockSize(), buf)); err != nil {
 		return err
 	}
-	v.CopyIn(buf)
+	off := 0
+	for i := 0; i < v.Segments(); i++ {
+		off += copy(v.Seg(i), buf[off:])
+	}
 	return nil
-}
-
-func (d *gatherDevice) WriteBlocks(start uint64, src []byte) error {
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *gatherDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
 }
 
 // BenchmarkMergedRun measures one large coalesced dispatch: a plug write
@@ -198,11 +181,11 @@ func BenchmarkVolumeService(b *testing.B) {
 					buf := make([]byte, reqBlocks*blockSize)
 					for i := 0; i < b.N; i++ {
 						off := uint64(i*reqBlocks) % (virt - reqBlocks)
-						if err := thin.WriteBlocks(off, buf); err != nil {
+						if err := storage.WriteBlocks(thin, off, buf); err != nil {
 							b.Fatal(err)
 						}
 						if i%flushEvry == flushEvry-1 {
-							if err := thin.Sync(); err != nil {
+							if err := thin.Sync(0); err != nil {
 								b.Fatal(err)
 							}
 						}

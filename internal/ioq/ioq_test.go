@@ -28,47 +28,31 @@ type countingDevice struct {
 	log        []string
 }
 
-func (d *countingDevice) ReadBlocks(start uint64, dst []byte) error {
+func (d *countingDevice) ReadVec(fid, start uint64, v storage.BlockVec) error {
 	d.mu.Lock()
 	d.readCalls++
 	d.log = append(d.log, "read")
 	d.mu.Unlock()
-	return storage.ReadBlocks(d.Device, start, dst)
+	return d.Device.ReadVec(fid, start, v)
 }
 
-func (d *countingDevice) WriteBlocks(start uint64, src []byte) error {
+func (d *countingDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	d.mu.Lock()
 	d.writeCalls++
 	d.log = append(d.log, "write")
 	d.mu.Unlock()
-	return storage.WriteBlocks(d.Device, start, src)
+	return d.Device.WriteVec(fid, start, v)
 }
 
-func (d *countingDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	d.mu.Lock()
-	d.readCalls++
-	d.log = append(d.log, "read")
-	d.mu.Unlock()
-	return storage.ReadBlocksVec(d.Device, start, v)
-}
-
-func (d *countingDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	d.mu.Lock()
-	d.writeCalls++
-	d.log = append(d.log, "write")
-	d.mu.Unlock()
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *countingDevice) Sync() error {
+func (d *countingDevice) Sync(fid uint64) error {
 	d.mu.Lock()
 	d.syncs++
 	d.log = append(d.log, "sync")
 	d.mu.Unlock()
-	return d.Device.Sync()
+	return d.Device.Sync(fid)
 }
 
-// blockingDevice stalls WriteBlocks while the gate is held, letting tests
+// blockingDevice stalls writes while the gate is held, letting tests
 // pile requests into the staging queue deterministically.
 type blockingDevice struct {
 	storage.Device
@@ -78,32 +62,14 @@ type blockingDevice struct {
 	armed   atomic.Bool
 }
 
-func (d *blockingDevice) WriteBlocks(start uint64, src []byte) error {
+func (d *blockingDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	if d.armed.Load() {
 		d.once.Do(func() {
 			close(d.entered)
 			<-d.gate
 		})
 	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *blockingDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *blockingDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	if d.armed.Load() {
-		d.once.Do(func() {
-			close(d.entered)
-			<-d.gate
-		})
-	}
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *blockingDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
+	return d.Device.WriteVec(fid, start, v)
 }
 
 func TestReadWriteRoundtrip(t *testing.T) {
@@ -298,7 +264,7 @@ type gateSyncDevice struct {
 	writeDuring atomic.Bool
 }
 
-func (d *gateSyncDevice) Sync() error {
+func (d *gateSyncDevice) Sync(fid uint64) error {
 	if d.armed.Load() {
 		d.once.Do(func() {
 			d.syncing.Store(true)
@@ -307,18 +273,14 @@ func (d *gateSyncDevice) Sync() error {
 			d.syncing.Store(false)
 		})
 	}
-	return d.Device.Sync()
+	return d.Device.Sync(fid)
 }
 
-func (d *gateSyncDevice) WriteBlocks(start uint64, src []byte) error {
+func (d *gateSyncDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	if d.syncing.Load() {
 		d.writeDuring.Store(true)
 	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *gateSyncDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
+	return d.Device.WriteVec(fid, start, v)
 }
 
 // TestFlushBarrierHoldsDuringSync pins the second half of the barrier
@@ -518,7 +480,12 @@ type vecObserver struct {
 	ptrs []uintptr
 }
 
-func (d *vecObserver) WriteBlocksVec(start uint64, v storage.BlockVec) error {
+func (d *vecObserver) WriteVec(fid, start uint64, v storage.BlockVec) error {
+	if v.Segments() < 2 {
+		// A single request dispatches as a one-segment vec; the
+		// observer records merged runs only.
+		return d.Device.WriteVec(fid, start, v)
+	}
 	d.mu.Lock()
 	var counts []int
 	for i := 0; i < v.Segments(); i++ {
@@ -527,19 +494,7 @@ func (d *vecObserver) WriteBlocksVec(start uint64, v storage.BlockVec) error {
 	}
 	d.segs = append(d.segs, counts)
 	d.mu.Unlock()
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *vecObserver) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
-}
-
-func (d *vecObserver) WriteBlocks(start uint64, src []byte) error {
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *vecObserver) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
+	return d.Device.WriteVec(fid, start, v)
 }
 
 // TestMergedDispatchIsZeroCopy pins the zero-copy contract: a merged run

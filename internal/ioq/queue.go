@@ -502,15 +502,15 @@ func (q *VolumeQueue) exec(run []*request) {
 	var err error
 	switch head.op {
 	case OpRead:
-		err = storage.ReadBlocksVecFlight(q.dev, head.fid, start, q.runVec(run))
+		err = q.dev.ReadVec(head.fid, start, q.runVec(run))
 	case OpWrite:
-		err = storage.WriteBlocksVecFlight(q.dev, head.fid, start, q.runVec(run))
+		err = q.dev.WriteVec(head.fid, start, q.runVec(run))
 	case OpDiscard:
 		var count uint64
 		for _, r := range run {
 			count += r.count
 		}
-		err = storage.DiscardFlight(q.dev, head.fid, start, count)
+		err = q.dev.Discard(head.fid, start, count)
 	}
 	if err == nil {
 		q.s.m.CoalescedOps.Inc()
@@ -608,13 +608,13 @@ func (q *VolumeQueue) execOne(r *request) error {
 func (q *VolumeQueue) execDirect(r *request) error {
 	switch r.op {
 	case OpRead:
-		return storage.ReadBlocksFlight(q.dev, r.fid, r.start, r.buf)
+		return q.dev.ReadVec(r.fid, r.start, storage.VecOne(q.dev.BlockSize(), r.buf))
 	case OpWrite:
-		return storage.WriteBlocksFlight(q.dev, r.fid, r.start, r.buf)
+		return q.dev.WriteVec(r.fid, r.start, storage.VecOne(q.dev.BlockSize(), r.buf))
 	case OpDiscard:
-		return storage.DiscardFlight(q.dev, r.fid, r.start, r.count)
+		return q.dev.Discard(r.fid, r.start, r.count)
 	case OpSync:
-		return storage.SyncFlight(q.dev, r.fid)
+		return q.dev.Sync(r.fid)
 	case OpQuiesce:
 		// The barrier itself touches no device state; reaching execution
 		// IS the guarantee (everything older has drained).

@@ -151,12 +151,12 @@ type slowSyncDevice struct {
 	syncErr error
 }
 
-func (d *slowSyncDevice) Sync() error {
+func (d *slowSyncDevice) Sync(fid uint64) error {
 	time.Sleep(d.delay)
 	if d.syncErr != nil {
 		return d.syncErr
 	}
-	return d.Device.Sync()
+	return d.Device.Sync(fid)
 }
 
 // TestBarrierSyncErrorPropagatesToParked: the satellite-1 regression. When

@@ -85,22 +85,9 @@ func (d *holdDevice) park(start uint64) {
 	}
 }
 
-func (d *holdDevice) WriteBlocks(start uint64, src []byte) error {
+func (d *holdDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	d.park(start)
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *holdDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	d.park(start)
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *holdDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *holdDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
+	return d.Device.WriteVec(fid, start, v)
 }
 
 // waitEntered fails the test unless a write to one of the expected starts

@@ -166,12 +166,12 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 				for i := range buf {
 					buf[i] = 0
 				}
-			} else if err := f.fs.dev.ReadBlock(a, buf); err != nil {
+			} else if err := storage.ReadBlocks(f.fs.dev, a, buf); err != nil {
 				res.unwind()
 				return written, err
 			}
 			copy(buf[inBlock:], p[written:written+n])
-			if err := f.fs.dev.WriteBlock(a, buf); err != nil {
+			if err := storage.WriteBlocks(f.fs.dev, a, buf); err != nil {
 				res.unwind()
 				return written, err
 			}
@@ -237,7 +237,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			if buf == nil {
 				buf = make([]byte, bs)
 			}
-			if err := f.fs.dev.ReadBlock(a, buf); err != nil {
+			if err := storage.ReadBlocks(f.fs.dev, a, buf); err != nil {
 				return read, err
 			}
 			copy(p[read:read+n], buf[inBlock:inBlock+uint64(n)])

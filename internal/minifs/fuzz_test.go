@@ -20,7 +20,7 @@ func fuzzDevice(t testing.TB, image []byte) *storage.MemDevice {
 	dev := storage.NewMemDevice(fuzzBlockSize, fuzzBlocks)
 	full := make([]byte, fuzzBlockSize*fuzzBlocks)
 	copy(full, image)
-	if err := storage.WriteFull(dev, 0, full); err != nil {
+	if err := storage.WriteBlocks(dev, 0, full); err != nil {
 		t.Fatal(err)
 	}
 	return dev
@@ -73,7 +73,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	// Undo the in-place application: the crash point after the seal.
-	if err := storage.WriteFull(dev, fs.sb.bitmapStart, before); err != nil {
+	if err := storage.WriteBlocks(dev, fs.sb.bitmapStart, before); err != nil {
 		t.Fatal(err)
 	}
 	return append(seeds, image())

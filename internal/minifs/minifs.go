@@ -574,7 +574,7 @@ func (fs *FS) readPtrBlock(abs uint64) ([]uint64, error) {
 		return ptrs, nil
 	}
 	buf := make([]byte, fs.sb.blockSize)
-	if err := fs.dev.ReadBlock(abs, buf); err != nil {
+	if err := storage.ReadBlocks(fs.dev, abs, buf); err != nil {
 		return nil, err
 	}
 	ptrs := make([]uint64, fs.ptrsPerBlock())
@@ -607,7 +607,7 @@ func (fs *FS) flushPtrBlocks() error {
 		for i, p := range ptrs {
 			le.PutUint64(buf[i*8:], p)
 		}
-		if err := fs.dev.WriteBlock(abs, buf); err != nil {
+		if err := storage.WriteBlocks(fs.dev, abs, buf); err != nil {
 			return err
 		}
 	}

@@ -475,11 +475,11 @@ func TestMountRejectsCorruptSuperblock(t *testing.T) {
 				t.Fatal(err)
 			}
 			sb := make([]byte, blockSize)
-			if err := dev.ReadBlock(0, sb); err != nil {
+			if err := storage.ReadBlocks(dev, 0, sb); err != nil {
 				t.Fatal(err)
 			}
 			binary.LittleEndian.PutUint64(sb[8+8*i:], v)
-			if err := dev.WriteBlock(0, sb); err != nil {
+			if err := storage.WriteBlocks(dev, 0, sb); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Mount(dev); !errors.Is(err, ErrNotFormatted) {
@@ -522,12 +522,12 @@ func TestMountRejectsCorruptDirectory(t *testing.T) {
 		// Directory: count u64, then (ino u64, name length u16, name).
 		abs := fs.inodes[rootIno].direct[0]
 		dir := make([]byte, blockSize)
-		if err := dev.ReadBlock(abs, dir); err != nil {
+		if err := storage.ReadBlocks(dev, abs, dir); err != nil {
 			t.Fatal(err)
 		}
 		const first, second = 8, 8 + 8 + 2 + 1
 		binary.LittleEndian.PutUint64(dir[second:], tc.ino(binary.LittleEndian.Uint64(dir[first:])))
-		if err := dev.WriteBlock(abs, dir); err != nil {
+		if err := storage.WriteBlocks(dev, abs, dir); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Mount(dev); !errors.Is(err, ErrNotFormatted) {

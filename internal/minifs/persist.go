@@ -207,7 +207,7 @@ func (fs *FS) Sync() error {
 	if len(addrs) == 0 {
 		// No metadata changed; just give pending file data durability.
 		fs.m.DataOnlySyncs.Inc()
-		if err := fs.dev.Sync(); err != nil {
+		if err := fs.dev.Sync(0); err != nil {
 			return err
 		}
 		fs.clearDirty()
@@ -278,12 +278,12 @@ func (fs *FS) clearDirty() {
 func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 	bs := fs.sb.blockSize
 
-	if err := storage.WriteFull(fs.dev, fs.sb.jdataStart, entries); err != nil {
+	if err := storage.WriteBlocks(fs.dev, fs.sb.jdataStart, entries); err != nil {
 		return fmt.Errorf("minifs: writing journal entries: %w", err)
 	}
 	// Barrier: entries — and, in ordered-mode fashion, all pending file
 	// data — are durable before the descriptor can commit the transaction.
-	if err := fs.dev.Sync(); err != nil {
+	if err := fs.dev.Sync(0); err != nil {
 		return fmt.Errorf("minifs: syncing journal entries: %w", err)
 	}
 
@@ -295,10 +295,10 @@ func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 		le.PutUint64(desc[jdescHeaderLen+8*i:], abs)
 	}
 	le.PutUint64(desc[16:], journalChecksum(desc, entries, len(addrs)))
-	if err := storage.WriteFull(fs.dev, fs.sb.jdescStart, desc); err != nil {
+	if err := storage.WriteBlocks(fs.dev, fs.sb.jdescStart, desc); err != nil {
 		return fmt.Errorf("minifs: writing journal descriptor: %w", err)
 	}
-	if err := fs.dev.Sync(); err != nil {
+	if err := fs.dev.Sync(0); err != nil {
 		return fmt.Errorf("minifs: syncing journal descriptor: %w", err)
 	}
 
@@ -312,7 +312,7 @@ func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 	// before the region is reused (replayPending).
 	pos := 0
 	err := storage.ForEachRun(addrs, func(start uint64, count int) error {
-		werr := storage.WriteFull(fs.dev, start, entries[pos*bs:(pos+count)*bs])
+		werr := storage.WriteBlocks(fs.dev, start, entries[pos*bs:(pos+count)*bs])
 		pos += count
 		return werr
 	})
@@ -320,7 +320,7 @@ func (fs *FS) commitTxn(addrs []uint64, entries []byte) error {
 		fs.replayPending = true
 		return fmt.Errorf("minifs: applying journal: %w", err)
 	}
-	if err := fs.dev.Sync(); err != nil {
+	if err := fs.dev.Sync(0); err != nil {
 		fs.replayPending = true
 		return fmt.Errorf("minifs: syncing applied metadata: %w", err)
 	}
@@ -371,11 +371,11 @@ func (fs *FS) replayJournal() error {
 		if abs < fs.sb.bitmapStart || abs >= fs.sb.dataStart {
 			return fmt.Errorf("%w: journal entry targets block %d", ErrNotFormatted, abs)
 		}
-		if err := fs.dev.WriteBlock(abs, entries[i*uint64(bs):(i+1)*uint64(bs)]); err != nil {
+		if err := storage.WriteBlocks(fs.dev, abs, entries[i*uint64(bs):(i+1)*uint64(bs)]); err != nil {
 			return fmt.Errorf("minifs: replaying journal: %w", err)
 		}
 	}
-	if err := fs.dev.Sync(); err != nil {
+	if err := fs.dev.Sync(0); err != nil {
 		return fmt.Errorf("minifs: syncing journal replay: %w", err)
 	}
 	return nil
@@ -399,7 +399,7 @@ func (fs *FS) writeSuper() error {
 	le.PutUint64(buf[80:], fs.sb.inodeStart)
 	le.PutUint64(buf[88:], fs.sb.inodeBlocks)
 	le.PutUint64(buf[96:], fs.sb.dataStart)
-	return fs.dev.WriteBlock(0, buf)
+	return storage.WriteBlocks(fs.dev, 0, buf)
 }
 
 // load mounts the file system from the device, replaying a sealed journal
@@ -407,7 +407,7 @@ func (fs *FS) writeSuper() error {
 func (fs *FS) load() error {
 	bs := fs.dev.BlockSize()
 	buf := make([]byte, bs)
-	if err := fs.dev.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(fs.dev, 0, buf); err != nil {
 		return fmt.Errorf("minifs: reading superblock: %w", err)
 	}
 	if le.Uint64(buf) != magic {
@@ -648,7 +648,7 @@ func (fs *FS) writeInodeData(ind *inode, data []byte) error {
 		for i := n; i < bs; i++ {
 			buf[i] = 0
 		}
-		if err := fs.dev.WriteBlock(abs, buf); err != nil {
+		if err := storage.WriteBlocks(fs.dev, abs, buf); err != nil {
 			return err
 		}
 	}
@@ -670,7 +670,7 @@ func (fs *FS) readInodeData(ind *inode) ([]byte, error) {
 		if abs == 0 {
 			continue // hole reads as zeros
 		}
-		if err := fs.dev.ReadBlock(abs, buf); err != nil {
+		if err := storage.ReadBlocks(fs.dev, abs, buf); err != nil {
 			return nil, err
 		}
 		copy(out[off:], buf)

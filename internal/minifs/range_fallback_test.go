@@ -8,18 +8,33 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// plainDevice hides the vectored methods of a MemDevice so minifs runs on
-// the generic per-block fallback, as it would over any third-party Device.
+// plainDevice serves every vec one block per inner call, as a third-party
+// device without a native multi-block path would.
 type plainDevice struct {
 	d *storage.MemDevice
 }
 
-func (p plainDevice) ReadBlock(idx uint64, dst []byte) error  { return p.d.ReadBlock(idx, dst) }
-func (p plainDevice) WriteBlock(idx uint64, src []byte) error { return p.d.WriteBlock(idx, src) }
-func (p plainDevice) BlockSize() int                          { return p.d.BlockSize() }
-func (p plainDevice) NumBlocks() uint64                       { return p.d.NumBlocks() }
-func (p plainDevice) Sync() error                             { return p.d.Sync() }
-func (p plainDevice) Close() error                            { return p.d.Close() }
+func (p plainDevice) ReadVec(fid, start uint64, v storage.BlockVec) error {
+	if err := storage.CheckVec(start, v, p.d.BlockSize(), p.d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, b []byte) error {
+		return storage.ReadBlocks(p.d, start+uint64(i), b)
+	})
+}
+func (p plainDevice) WriteVec(fid, start uint64, v storage.BlockVec) error {
+	if err := storage.CheckVec(start, v, p.d.BlockSize(), p.d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, b []byte) error {
+		return storage.WriteBlocks(p.d, start+uint64(i), b)
+	})
+}
+func (p plainDevice) BlockSize() int               { return p.d.BlockSize() }
+func (p plainDevice) NumBlocks() uint64            { return p.d.NumBlocks() }
+func (p plainDevice) Discard(_, _, _ uint64) error { return nil }
+func (p plainDevice) Sync(fid uint64) error        { return p.d.Sync(fid) }
+func (p plainDevice) Close() error                 { return p.d.Close() }
 
 // TestWriteAtUnwindsFreshBlocksOnFailure pre-stains the device, punches a
 // hole into a file, then makes the device fail mid-write: the freshly
@@ -119,13 +134,13 @@ func TestPartialWriteIntoFreshBlockZeroFills(t *testing.T) {
 	}
 }
 
-// TestFileIOOverNonRangeDevice checks the rewritten ReadAt/WriteAt behave
-// identically whether or not the underlying device supports vectored I/O.
-func TestFileIOOverNonRangeDevice(t *testing.T) {
+// TestFileIOOverPerBlockDevice checks ReadAt/WriteAt behave identically
+// over a device that serves one block per call.
+func TestFileIOOverPerBlockDevice(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 1024)
 	fs, err := Format(plainDevice{mem}, 64)
 	if err != nil {
-		t.Fatalf("Format over non-range device: %v", err)
+		t.Fatalf("Format over per-block device: %v", err)
 	}
 	f, err := fs.Create("x.bin")
 	if err != nil {
@@ -149,7 +164,7 @@ func TestFileIOOverNonRangeDevice(t *testing.T) {
 		t.Fatalf("ReadAt: %v", err)
 	}
 	if !bytes.Equal(got, shadow[:size]) {
-		t.Fatal("content over non-range device diverges from shadow")
+		t.Fatal("content over per-block device diverges from shadow")
 	}
 	if err := fs.CheckIntegrity(); err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func (s *MobiCealScheme) Read(b uint64, i int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: block %d of %d", ErrBlockRange, b, dev.NumBlocks())
 	}
 	d := make([]byte, dev.BlockSize())
-	if err := dev.ReadBlock(b, d); err != nil {
+	if err := storage.ReadBlocks(dev, b, d); err != nil {
 		return nil, fmt.Errorf("model: Read(V_%d, %d): %w", i, b, err)
 	}
 	return d, nil
@@ -168,7 +168,7 @@ func (s *MobiCealScheme) Write(b uint64, d []byte, i int) error {
 	if b >= dev.NumBlocks() {
 		return fmt.Errorf("%w: block %d of %d", ErrBlockRange, b, dev.NumBlocks())
 	}
-	if err := dev.WriteBlock(b, d); err != nil {
+	if err := storage.WriteBlocks(dev, b, d); err != nil {
 		return fmt.Errorf("model: Write(V_%d, %d): %w", i, b, err)
 	}
 	return nil

@@ -21,7 +21,7 @@ func BenchmarkSnapshotCheckpoint(b *testing.B) {
 				buf[i] = 0xa5
 			}
 			for idx := uint64(0); idx < written; idx++ {
-				if err := d.WriteBlock(idx, buf); err != nil {
+				if err := WriteBlocks(d, idx, buf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -31,7 +31,7 @@ func BenchmarkSnapshotCheckpoint(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A 16-block working set dirtied between checkpoints.
 				for j := uint64(0); j < 16; j++ {
-					if err := d.WriteBlock((uint64(i)*16+j)%written, buf); err != nil {
+					if err := WriteBlocks(d, (uint64(i)*16+j)%written, buf); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -27,7 +27,7 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 		for i := 0; i < n; i++ {
 			idx := uint64(rng.Intn(numBlocks))
 			rng.Read(buf)
-			if err := d.WriteBlock(idx, buf); err != nil {
+			if err := WriteBlocks(d, idx, buf); err != nil {
 				t.Fatal(err)
 			}
 			model[idx] = append([]byte(nil), buf...)
@@ -45,7 +45,7 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 		got := make([]byte, bs)
 		bg := make([]byte, bs)
 		for _, idx := range []uint64{0, 1, slabBlocks - 1, slabBlocks, dirBlocks - 1, dirBlocks, numBlocks - 1} {
-			if err := snap.ReadBlock(idx, got); err != nil {
+			if err := ReadBlocks(snap, idx, got); err != nil {
 				t.Fatalf("snapshot read %d: %v", idx, err)
 			}
 			w, ok := want[idx]
@@ -58,7 +58,7 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 			}
 		}
 		for idx, w := range want {
-			if err := snap.ReadBlock(idx, got); err != nil {
+			if err := ReadBlocks(snap, idx, got); err != nil {
 				t.Fatalf("snapshot read %d: %v", idx, err)
 			}
 			if !bytes.Equal(got, w) {
@@ -128,7 +128,7 @@ func TestSnapshotSharedSlabSkipsStayExact(t *testing.T) {
 	}
 	// Populate a broad cold set.
 	for idx := uint64(0); idx < 2*dirBlocks; idx += 97 {
-		if err := d.WriteBlock(idx, buf); err != nil {
+		if err := WriteBlocks(d, idx, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestSnapshotSharedSlabSkipsStayExact(t *testing.T) {
 	}
 	touched := []uint64{3, slabBlocks * 7, dirBlocks + 11}
 	for _, idx := range touched {
-		if err := d.WriteBlock(idx, buf); err != nil {
+		if err := WriteBlocks(d, idx, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestSnapshotSharedSlabSkipsStayExact(t *testing.T) {
 	for i := range same {
 		same[i] = 1
 	}
-	if err := d.WriteBlock(97, same); err != nil {
+	if err := WriteBlocks(d, 97, same); err != nil {
 		t.Fatal(err)
 	}
 	s2 := d.Snapshot()
@@ -174,7 +174,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	src := make([]byte, span*bs)
 	rng.Read(src)
 	start := uint64(dirBlocks - 2*slabBlocks - 3) // crosses slabs and the dir boundary
-	if err := d.WriteBlocks(start, src); err != nil {
+	if err := WriteBlocks(d, start, src); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.WrittenBlocks(), span; got != want {
@@ -185,30 +185,30 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	rdStart := start - 7
 	rdSpan := span + 20
 	got := make([]byte, rdSpan*bs)
-	if err := d.ReadBlocks(rdStart, got); err != nil {
+	if err := ReadBlocks(d, rdStart, got); err != nil {
 		t.Fatal(err)
 	}
 	one := make([]byte, bs)
 	for i := 0; i < rdSpan; i++ {
-		if err := d.ReadBlock(rdStart+uint64(i), one); err != nil {
+		if err := ReadBlocks(d, rdStart+uint64(i), one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[i*bs:(i+1)*bs], one) {
-			t.Fatalf("ReadBlocks block %d differs from ReadBlock", i)
+			t.Fatalf("ReadBlocks block %d differs from ReadBlocks", i)
 		}
 	}
 
 	// Snapshot range reads agree too.
 	snap := d.Snapshot()
-	if err := snap.ReadBlocks(rdStart, got); err != nil {
+	if err := ReadBlocks(snap, rdStart, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rdSpan; i++ {
-		if err := snap.ReadBlock(rdStart+uint64(i), one); err != nil {
+		if err := ReadBlocks(snap, rdStart+uint64(i), one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[i*bs:(i+1)*bs], one) {
-			t.Fatalf("snapshot ReadBlocks block %d differs from ReadBlock", i)
+			t.Fatalf("snapshot ReadBlocks block %d differs from ReadBlocks", i)
 		}
 	}
 }

@@ -47,11 +47,6 @@ type CrashDevice struct {
 	down      bool
 }
 
-var (
-	_ RangeDevice = (*CrashDevice)(nil)
-	_ VecDevice   = (*CrashDevice)(nil)
-)
-
 // NewCrashDevice wraps inner. Recording starts disabled; call StartRecording
 // once the workload of interest begins (typically after formatting).
 func NewCrashDevice(inner Device) *CrashDevice {
@@ -64,59 +59,12 @@ func (d *CrashDevice) BlockSize() int { return d.inner.BlockSize() }
 // NumBlocks implements Device.
 func (d *CrashDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
-// ReadBlock implements Device: reads observe the cache (a drive returns its
-// own buffered writes) and fall through to stable storage.
-func (d *CrashDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	if err := checkIO(idx, dst, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	if b, ok := d.cache[idx]; ok {
-		copy(dst, b)
-		return nil
-	}
-	return d.inner.ReadBlock(idx, dst)
-}
-
-// WriteBlock implements Device: the write is buffered, not durable, until
-// the next Sync.
-func (d *CrashDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	if err := checkIO(idx, src, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	d.bufferLocked(idx, src)
-	return nil
-}
-
-// ReadBlocks implements RangeDevice.
-func (d *CrashDevice) ReadBlocks(start uint64, dst []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkRangeIO(start, dst, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	return d.readSpanLocked(start, dst)
-}
-
 // readSpanLocked fills dst — a whole number of blocks at start — from the
 // volatile cache and stable storage. Blocks absent from the cache are read
 // in maximal contiguous runs with one inner range call per run instead of
 // one call per block, which is what keeps the crash-enumeration harnesses'
 // full-device scans cheap. Caller holds d.mu and has validated the request.
-func (d *CrashDevice) readSpanLocked(start uint64, dst []byte) error {
+func (d *CrashDevice) readSpanLocked(fid, start uint64, dst []byte) error {
 	bs := d.inner.BlockSize()
 	n := len(dst) / bs
 	for i := 0; i < n; {
@@ -132,7 +80,7 @@ func (d *CrashDevice) readSpanLocked(start uint64, dst []byte) error {
 			}
 			j++
 		}
-		if err := ReadBlocks(d.inner, start+uint64(i), dst[i*bs:j*bs]); err != nil {
+		if err := d.inner.ReadVec(fid, start+uint64(i), VecOne(bs, dst[i*bs:j*bs])); err != nil {
 			return err
 		}
 		i = j
@@ -140,64 +88,46 @@ func (d *CrashDevice) readSpanLocked(start uint64, dst []byte) error {
 	return nil
 }
 
-// WriteBlocks implements RangeDevice.
-func (d *CrashDevice) WriteBlocks(start uint64, src []byte) error {
+// ReadVec implements Device: reads observe the cache (a drive returns its
+// own buffered writes) and fall through to stable storage, with one lock
+// hold for the whole vec.
+func (d *CrashDevice) ReadVec(fid, start uint64, v BlockVec) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.down {
 		return ErrPowerCut
 	}
-	bs := d.inner.BlockSize()
-	if err := checkRangeIO(start, src, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	for i := 0; i*bs < len(src); i++ {
-		d.bufferLocked(start+uint64(i), src[i*bs:(i+1)*bs])
-	}
-	return nil
-}
-
-// ReadBlocksVec implements VecDevice: one lock hold for the whole vec,
-// blocks served from the volatile cache or stable storage exactly as the
-// flat range path does — including its bulk copies of contiguous non-cached
-// runs (each segment is one span of the same block range).
-func (d *CrashDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkVecIO(start, v, bs, d.inner.NumBlocks()); err != nil {
+	if err := CheckVec(start, v, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
 		return err
 	}
 	return v.Range(func(off int, seg []byte) error {
-		return d.readSpanLocked(start+uint64(off), seg)
+		return d.readSpanLocked(fid, start+uint64(off), seg)
 	})
 }
 
-// WriteBlocksVec implements VecDevice: every block of every segment enters
-// the volatile cache, in vec order, under one lock hold — so the FIFO
-// flush order, the power-cut in-flight set and the recorded write log see
-// exactly the per-block stream the flat path would have produced, segment
-// run by segment run.
-func (d *CrashDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+// WriteVec implements Device: the write is buffered, not durable, until
+// the next Sync. Every block of every segment enters the volatile cache,
+// in vec order, under one lock hold — so the FIFO flush order, the
+// power-cut in-flight set and the recorded write log see the per-block
+// stream in ascending block order.
+func (d *CrashDevice) WriteVec(_, start uint64, v BlockVec) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.down {
 		return ErrPowerCut
 	}
-	bs := d.inner.BlockSize()
-	if err := checkVecIO(start, v, bs, d.inner.NumBlocks()); err != nil {
+	if err := CheckVec(start, v, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
 		return err
 	}
-	return v.Range(func(off int, seg []byte) error {
-		for i := 0; i*bs < len(seg); i++ {
-			d.bufferLocked(start+uint64(off+i), seg[i*bs:(i+1)*bs])
-		}
+	return v.EachBlock(func(i int, blk []byte) error {
+		d.bufferLocked(start+uint64(i), blk)
 		return nil
 	})
 }
+
+// Discard implements Device; the cache and stable storage keep their
+// content.
+func (d *CrashDevice) Discard(_, _, _ uint64) error { return nil }
 
 // bufferLocked stores src as block idx in the volatile cache. Caller holds
 // d.mu and has validated the request.
@@ -214,7 +144,7 @@ func (d *CrashDevice) bufferLocked(idx uint64, src []byte) {
 // Sync implements Device: every in-flight block reaches stable storage, in
 // the order blocks first became dirty, and the inner device is synced. This
 // is the barrier a commit protocol orders its writes around.
-func (d *CrashDevice) Sync() error {
+func (d *CrashDevice) Sync(fid uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.down {
@@ -223,7 +153,7 @@ func (d *CrashDevice) Sync() error {
 	if err := d.flushLocked(); err != nil {
 		return err
 	}
-	return d.inner.Sync()
+	return d.inner.Sync(fid)
 }
 
 // flushLocked writes the volatile cache to the inner device, logging each
@@ -237,12 +167,12 @@ func (d *CrashDevice) flushLocked() error {
 		var prev []byte
 		if d.recording {
 			prev = make([]byte, d.inner.BlockSize())
-			if err := d.inner.ReadBlock(idx, prev); err != nil {
+			if err := ReadBlocks(d.inner, idx, prev); err != nil {
 				d.order = d.order[i:]
 				return fmt.Errorf("storage: crash log pre-image of block %d: %w", idx, err)
 			}
 		}
-		if err := d.inner.WriteBlock(idx, data); err != nil {
+		if err := WriteBlocks(d.inner, idx, data); err != nil {
 			d.order = d.order[i:]
 			return err
 		}
@@ -282,7 +212,7 @@ func (d *CrashDevice) StartRecording() error {
 	if err := d.flushLocked(); err != nil {
 		return err
 	}
-	if err := d.inner.Sync(); err != nil {
+	if err := d.inner.Sync(0); err != nil {
 		return err
 	}
 	d.log = nil
@@ -380,7 +310,7 @@ func (d *CrashDevice) PowerCut(src *prng.Source) error {
 			landed = append([]byte(nil), data...)
 		default: // torn
 			prev := make([]byte, bs)
-			if err := d.inner.ReadBlock(idx, prev); err != nil {
+			if err := ReadBlocks(d.inner, idx, prev); err != nil {
 				return fmt.Errorf("storage: power cut pre-image of block %d: %w", idx, err)
 			}
 			t := int(src.Uint64n(uint64(bs + 1)))
@@ -389,12 +319,12 @@ func (d *CrashDevice) PowerCut(src *prng.Source) error {
 		}
 		if d.recording {
 			prev := make([]byte, bs)
-			if err := d.inner.ReadBlock(idx, prev); err != nil {
+			if err := ReadBlocks(d.inner, idx, prev); err != nil {
 				return fmt.Errorf("storage: power cut pre-image of block %d: %w", idx, err)
 			}
 			d.log = append(d.log, logEntry{idx: idx, prev: prev, data: landed})
 		}
-		if err := d.inner.WriteBlock(idx, landed); err != nil {
+		if err := WriteBlocks(d.inner, idx, landed); err != nil {
 			return err
 		}
 	}
@@ -438,47 +368,36 @@ type overlayDevice struct {
 	blocks map[uint64][]byte
 }
 
-var _ RangeDevice = (*overlayDevice)(nil)
-
 func (d *overlayDevice) BlockSize() int    { return d.blockSize }
 func (d *overlayDevice) NumBlocks() uint64 { return d.numBlocks }
 
-func (d *overlayDevice) ReadBlock(idx uint64, dst []byte) error {
+func (d *overlayDevice) ReadVec(_, start uint64, v BlockVec) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := checkIO(idx, dst, d.blockSize, d.numBlocks); err != nil {
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
-	if b, ok := d.blocks[idx]; ok {
-		copy(dst, b)
+	return v.EachBlock(func(i int, dst []byte) error {
+		if b, ok := d.blocks[start+uint64(i)]; ok {
+			copy(dst, b)
+			return nil
+		}
+		return ReadBlocks(d.inner, start+uint64(i), dst)
+	})
+}
+
+func (d *overlayDevice) WriteVec(_, start uint64, v BlockVec) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, blk []byte) error {
+		d.blocks[start+uint64(i)] = append([]byte(nil), blk...)
 		return nil
-	}
-	return d.inner.ReadBlock(idx, dst)
+	})
 }
 
-func (d *overlayDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := checkIO(idx, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	d.blocks[idx] = append([]byte(nil), src...)
-	return nil
-}
-
-func (d *overlayDevice) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return readBlocksSlow(d, start, dst)
-}
-
-func (d *overlayDevice) WriteBlocks(start uint64, src []byte) error {
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return writeBlocksSlow(d, start, src)
-}
-
-func (d *overlayDevice) Sync() error  { return nil }
-func (d *overlayDevice) Close() error { return nil }
+func (d *overlayDevice) Discard(_, _, _ uint64) error { return nil }
+func (d *overlayDevice) Sync(uint64) error            { return nil }
+func (d *overlayDevice) Close() error                 { return nil }

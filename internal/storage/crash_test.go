@@ -11,7 +11,7 @@ import (
 func readBlock(t *testing.T, d Device, idx uint64) []byte {
 	t.Helper()
 	buf := make([]byte, d.BlockSize())
-	if err := d.ReadBlock(idx, buf); err != nil {
+	if err := ReadBlocks(d, idx, buf); err != nil {
 		t.Fatalf("reading block %d: %v", idx, err)
 	}
 	return buf
@@ -22,7 +22,7 @@ func TestCrashDeviceBuffersUntilSync(t *testing.T) {
 	d := NewCrashDevice(inner)
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 3)
-	if err := d.WriteBlock(4, src); err != nil {
+	if err := WriteBlocks(d, 4, src); err != nil {
 		t.Fatal(err)
 	}
 	// The device returns its own buffered write...
@@ -36,7 +36,7 @@ func TestCrashDeviceBuffersUntilSync(t *testing.T) {
 	if d.InFlight() != 1 {
 		t.Fatalf("in-flight = %d, want 1", d.InFlight())
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := readBlock(t, inner, 4); !bytes.Equal(got, src) {
@@ -52,23 +52,23 @@ func TestCrashDevicePowerCutDropAll(t *testing.T) {
 	d := NewCrashDevice(inner)
 	old := make([]byte, testBlockSize)
 	fillPattern(old, 1)
-	if err := d.WriteBlock(2, old); err != nil {
+	if err := WriteBlocks(d, 2, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	junk := make([]byte, testBlockSize)
 	fillPattern(junk, 9)
-	if err := d.WriteBlock(2, junk); err != nil {
+	if err := WriteBlocks(d, 2, junk); err != nil {
 		t.Fatal(err)
 	}
 	d.PowerCutDropAll()
 	buf := make([]byte, testBlockSize)
-	if err := d.ReadBlock(2, buf); !errors.Is(err, ErrPowerCut) {
+	if err := ReadBlocks(d, 2, buf); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("read while down err = %v", err)
 	}
-	if err := d.Sync(); !errors.Is(err, ErrPowerCut) {
+	if err := d.Sync(0); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("sync while down err = %v", err)
 	}
 	d.Restart()
@@ -82,7 +82,7 @@ func TestCrashDeviceEnumeration(t *testing.T) {
 	d := NewCrashDevice(inner)
 	base := make([]byte, testBlockSize)
 	fillPattern(base, 100)
-	if err := d.WriteBlock(0, base); err != nil {
+	if err := WriteBlocks(d, 0, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.StartRecording(); err != nil {
@@ -97,10 +97,10 @@ func TestCrashDeviceEnumeration(t *testing.T) {
 	for i, w := range writes {
 		vals[i] = make([]byte, testBlockSize)
 		fillPattern(vals[i], w.val)
-		if err := d.WriteBlock(w.idx, vals[i]); err != nil {
+		if err := WriteBlocks(d, w.idx, vals[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Sync(); err != nil {
+		if err := d.Sync(0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestCrashDeviceTornImage(t *testing.T) {
 	d := NewCrashDevice(inner)
 	old := make([]byte, testBlockSize)
 	fillPattern(old, 5)
-	if err := d.WriteBlock(3, old); err != nil {
+	if err := WriteBlocks(d, 3, old); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.StartRecording(); err != nil {
@@ -142,10 +142,10 @@ func TestCrashDeviceTornImage(t *testing.T) {
 	}
 	neu := make([]byte, testBlockSize)
 	fillPattern(neu, 6)
-	if err := d.WriteBlock(3, neu); err != nil {
+	if err := WriteBlocks(d, 3, neu); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	const cut = testBlockSize / 2
@@ -171,10 +171,10 @@ func TestCrashImagesAreIndependent(t *testing.T) {
 	}
 	v := make([]byte, testBlockSize)
 	fillPattern(v, 7)
-	if err := d.WriteBlock(1, v); err != nil {
+	if err := WriteBlocks(d, 1, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	a, err := d.CrashImage(0)
@@ -187,7 +187,7 @@ func TestCrashImagesAreIndependent(t *testing.T) {
 	}
 	scribble := make([]byte, testBlockSize)
 	fillPattern(scribble, 200)
-	if err := a.WriteBlock(1, scribble); err != nil {
+	if err := WriteBlocks(a, 1, scribble); err != nil {
 		t.Fatal(err)
 	}
 	if got := readBlock(t, b, 1); !bytes.Equal(got, v) {
@@ -207,18 +207,18 @@ func TestCrashDevicePowerCutSubset(t *testing.T) {
 		old := make([]byte, testBlockSize)
 		fillPattern(old, byte(idx))
 		olds[idx] = old
-		if err := d.WriteBlock(idx, old); err != nil {
+		if err := WriteBlocks(d, idx, old); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	for idx := uint64(0); idx < 32; idx++ {
 		neu := make([]byte, testBlockSize)
 		fillPattern(neu, byte(128+idx))
 		news[idx] = neu
-		if err := d.WriteBlock(idx, neu); err != nil {
+		if err := WriteBlocks(d, idx, neu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,19 +268,19 @@ func TestCrashDeviceFlushRetryAfterInnerFault(t *testing.T) {
 		v := make([]byte, testBlockSize)
 		fillPattern(v, byte(40+idx))
 		vals[idx] = v
-		if err := d.WriteBlock(idx, v); err != nil {
+		if err := WriteBlocks(d, idx, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	faulty.FailWritesAfter(3)
-	if err := d.Sync(); !errors.Is(err, ErrInjected) {
+	if err := d.Sync(0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync with inner fault err = %v, want ErrInjected", err)
 	}
 	if got := d.PersistedWrites(); got != 3 {
 		t.Fatalf("log after failed flush = %d entries, want 3 (no phantom writes)", got)
 	}
 	faulty.Disarm()
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("retry sync: %v", err)
 	}
 	if got := d.PersistedWrites(); got != 6 {

@@ -52,11 +52,6 @@ type FaultDevice struct {
 	failedSyncs uint64
 }
 
-var (
-	_ RangeDevice = (*FaultDevice)(nil)
-	_ VecDevice   = (*FaultDevice)(nil)
-)
-
 // NewFaultDevice wraps inner with fault injection disarmed.
 func NewFaultDevice(inner Device) *FaultDevice {
 	return &FaultDevice{inner: inner}
@@ -130,44 +125,14 @@ func (d *FaultDevice) BlockSize() int { return d.inner.BlockSize() }
 // NumBlocks implements Device.
 func (d *FaultDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
-// ReadBlock implements Device.
-func (d *FaultDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	if d.readArmed {
-		if d.readsLeft <= 0 {
-			d.failedReads++
-			d.mu.Unlock()
-			return d.errf("read of block %d", idx)
-		}
-		d.readsLeft--
-	}
-	d.mu.Unlock()
-	return d.inner.ReadBlock(idx, dst)
-}
-
-// WriteBlock implements Device.
-func (d *FaultDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	if d.writeArmed {
-		if d.writesLeft <= 0 {
-			d.failedWrite++
-			d.mu.Unlock()
-			return d.errf("write of block %d", idx)
-		}
-		d.writesLeft--
-	}
-	d.mu.Unlock()
-	return d.inner.WriteBlock(idx, src)
-}
-
-// ReadBlocks implements RangeDevice. A vectored request consumes one unit
-// of the armed budget per block, and the failure is block-granular: a range
-// that exhausts the budget mid-transfer completes exactly the blocks the
-// budget covered and fails with a PartialError carrying that count, the way
-// a controller dying mid-request leaves a prefix transferred.
-func (d *FaultDevice) ReadBlocks(start uint64, dst []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(dst) / bs
+// ReadVec implements Device. A request consumes one unit of the armed
+// budget per block regardless of segmentation, and the failure is
+// block-granular: a vec that exhausts the budget mid-transfer completes
+// exactly the covered prefix — which may end in the middle of a segment —
+// and fails with a PartialError counting blocks across all segments, the
+// way a controller dying mid-request leaves a prefix transferred.
+func (d *FaultDevice) ReadVec(fid, start uint64, v BlockVec) error {
+	n := v.Len()
 	d.mu.Lock()
 	if d.readArmed && d.readsLeft < n {
 		// The failure consumes the rest of the budget: once the device has
@@ -178,7 +143,7 @@ func (d *FaultDevice) ReadBlocks(start uint64, dst []byte) error {
 		ferr := d.errf("read of %d blocks at %d", n, start)
 		d.mu.Unlock()
 		if done > 0 {
-			if err := ReadBlocks(d.inner, start, dst[:done*bs]); err != nil {
+			if err := d.inner.ReadVec(fid, start, v.Slice(0, done)); err != nil {
 				return err
 			}
 		}
@@ -188,66 +153,12 @@ func (d *FaultDevice) ReadBlocks(start uint64, dst []byte) error {
 		d.readsLeft -= n
 	}
 	d.mu.Unlock()
-	return ReadBlocks(d.inner, start, dst)
+	return d.inner.ReadVec(fid, start, v)
 }
 
-// WriteBlocks implements RangeDevice with the same block-granular budget
-// rule as ReadBlocks.
-func (d *FaultDevice) WriteBlocks(start uint64, src []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(src) / bs
-	d.mu.Lock()
-	if d.writeArmed && d.writesLeft < n {
-		done := d.writesLeft
-		d.writesLeft = 0
-		d.failedWrite++
-		ferr := d.errf("write of %d blocks at %d", n, start)
-		d.mu.Unlock()
-		if done > 0 {
-			if err := WriteBlocks(d.inner, start, src[:done*bs]); err != nil {
-				return err
-			}
-		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.writeArmed {
-		d.writesLeft -= n
-	}
-	d.mu.Unlock()
-	return WriteBlocks(d.inner, start, src)
-}
-
-// ReadBlocksVec implements VecDevice with the same block-granular budget
-// rule as ReadBlocks: the armed budget is consumed per block regardless of
-// segmentation, and a vec that exhausts it mid-transfer completes exactly
-// the covered prefix — which may end in the middle of a segment — and
-// fails with a PartialError counting blocks across all segments.
-func (d *FaultDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	n := v.Len()
-	d.mu.Lock()
-	if d.readArmed && d.readsLeft < n {
-		done := d.readsLeft
-		d.readsLeft = 0
-		d.failedReads++
-		ferr := d.errf("read of %d blocks at %d", n, start)
-		d.mu.Unlock()
-		if done > 0 {
-			if err := ReadBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
-				return err
-			}
-		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.readArmed {
-		d.readsLeft -= n
-	}
-	d.mu.Unlock()
-	return ReadBlocksVec(d.inner, start, v)
-}
-
-// WriteBlocksVec implements VecDevice with the same block-granular budget
-// rule as ReadBlocksVec.
-func (d *FaultDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+// WriteVec implements Device with the same block-granular budget rule as
+// ReadVec.
+func (d *FaultDevice) WriteVec(fid, start uint64, v BlockVec) error {
 	n := v.Len()
 	d.mu.Lock()
 	if d.writeArmed && d.writesLeft < n {
@@ -257,7 +168,7 @@ func (d *FaultDevice) WriteBlocksVec(start uint64, v BlockVec) error {
 		ferr := d.errf("write of %d blocks at %d", n, start)
 		d.mu.Unlock()
 		if done > 0 {
-			if err := WriteBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
+			if err := d.inner.WriteVec(fid, start, v.Slice(0, done)); err != nil {
 				return err
 			}
 		}
@@ -267,13 +178,17 @@ func (d *FaultDevice) WriteBlocksVec(start uint64, v BlockVec) error {
 		d.writesLeft -= n
 	}
 	d.mu.Unlock()
-	return WriteBlocksVec(d.inner, start, v)
+	return d.inner.WriteVec(fid, start, v)
 }
+
+// Discard implements Device; fault injection targets data and barriers
+// only, and the discard is not forwarded.
+func (d *FaultDevice) Discard(_, _, _ uint64) error { return nil }
 
 // Sync implements Device. An armed sync budget fails the call without
 // reaching the inner device, the way a flush command times out at a dying
 // controller before any durability is established.
-func (d *FaultDevice) Sync() error {
+func (d *FaultDevice) Sync(fid uint64) error {
 	d.mu.Lock()
 	if d.syncArmed {
 		if d.syncsLeft <= 0 {
@@ -285,7 +200,7 @@ func (d *FaultDevice) Sync() error {
 		d.syncsLeft--
 	}
 	d.mu.Unlock()
-	return d.inner.Sync()
+	return d.inner.Sync(fid)
 }
 
 // Close implements Device.

@@ -9,10 +9,10 @@ func TestFaultDeviceDisarmedPassesThrough(t *testing.T) {
 	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 20; i++ {
-		if err := d.WriteBlock(0, buf); err != nil {
+		if err := WriteBlocks(d, 0, buf); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if err := d.ReadBlock(0, buf); err != nil {
+		if err := ReadBlocks(d, 0, buf); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
@@ -26,18 +26,18 @@ func TestFaultDeviceFailsAfterBudget(t *testing.T) {
 	d.FailWritesAfter(3)
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 3; i++ {
-		if err := d.WriteBlock(0, buf); err != nil {
+		if err := WriteBlocks(d, 0, buf); err != nil {
 			t.Fatalf("write %d within budget: %v", i, err)
 		}
 	}
-	if err := d.WriteBlock(0, buf); !errors.Is(err, ErrInjected) {
+	if err := WriteBlocks(d, 0, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write past budget err = %v", err)
 	}
-	if err := d.WriteBlock(1, buf); !errors.Is(err, ErrInjected) {
+	if err := WriteBlocks(d, 1, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("subsequent write err = %v", err)
 	}
 	// Reads unaffected.
-	if err := d.ReadBlock(0, buf); err != nil {
+	if err := ReadBlocks(d, 0, buf); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if _, w := d.InjectedFailures(); w != 2 {
@@ -49,11 +49,11 @@ func TestFaultDeviceReadFaultsAndDisarm(t *testing.T) {
 	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
 	d.FailReadsAfter(0)
 	buf := make([]byte, testBlockSize)
-	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrInjected) {
+	if err := ReadBlocks(d, 0, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read err = %v", err)
 	}
 	d.Disarm()
-	if err := d.ReadBlock(0, buf); err != nil {
+	if err := ReadBlocks(d, 0, buf); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestFaultDeviceRangePartialCompletion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fillPattern(src[i*testBlockSize:(i+1)*testBlockSize], byte(10+i))
 	}
-	err := d.WriteBlocks(0, src)
+	err := WriteBlocks(d, 0, src)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("range write err = %v, want ErrInjected", err)
 	}
@@ -80,7 +80,7 @@ func TestFaultDeviceRangePartialCompletion(t *testing.T) {
 	// Exactly the budgeted prefix landed.
 	got := make([]byte, testBlockSize)
 	for i := uint64(0); i < 8; i++ {
-		if err := mem.ReadBlock(i, got); err != nil {
+		if err := ReadBlocks(mem, i, got); err != nil {
 			t.Fatal(err)
 		}
 		want := byte(0)
@@ -92,7 +92,7 @@ func TestFaultDeviceRangePartialCompletion(t *testing.T) {
 		}
 	}
 	// The budget is exhausted: later single-block writes fail too.
-	if err := d.WriteBlock(0, src[:testBlockSize]); !errors.Is(err, ErrInjected) {
+	if err := WriteBlocks(d, 0, src[:testBlockSize]); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write after tripped range err = %v", err)
 	}
 }
@@ -102,14 +102,14 @@ func TestFaultDeviceRangeReadPartialCompletion(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		b := make([]byte, testBlockSize)
 		fillPattern(b, byte(20+i))
-		if err := mem.WriteBlock(i, b); err != nil {
+		if err := WriteBlocks(mem, i, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d := NewFaultDevice(mem)
 	d.FailReadsAfter(5)
 	dst := make([]byte, 8*testBlockSize)
-	err := d.ReadBlocks(0, dst)
+	err := ReadBlocks(d, 0, dst)
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 5 {
 		t.Fatalf("range read err = %v, want PartialError with Done=5", err)
@@ -131,17 +131,17 @@ func TestFaultDeviceDoesNotWriteOnFault(t *testing.T) {
 	d := NewFaultDevice(mem)
 	good := make([]byte, testBlockSize)
 	fillPattern(good, 7)
-	if err := d.WriteBlock(2, good); err != nil {
+	if err := WriteBlocks(d, 2, good); err != nil {
 		t.Fatal(err)
 	}
 	d.FailWritesAfter(0)
 	bad := make([]byte, testBlockSize)
 	fillPattern(bad, 9)
-	if err := d.WriteBlock(2, bad); !errors.Is(err, ErrInjected) {
+	if err := WriteBlocks(d, 2, bad); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v", err)
 	}
 	got := make([]byte, testBlockSize)
-	if err := mem.ReadBlock(2, got); err != nil {
+	if err := ReadBlocks(mem, 2, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != good[0] {

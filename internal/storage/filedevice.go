@@ -115,11 +115,7 @@ type FileDevice struct {
 	sysc   fileSyscalls
 }
 
-var (
-	_ RangeDevice     = (*FileDevice)(nil)
-	_ VecDevice       = (*FileDevice)(nil)
-	_ SyscallReporter = (*FileDevice)(nil)
-)
+var _ SyscallReporter = (*FileDevice)(nil)
 
 // CreateFileDevice creates (or truncates) path as a device image of
 // numBlocks blocks of blockSize bytes.
@@ -239,88 +235,16 @@ func (d *FileDevice) Syscalls() FileSyscalls {
 	}
 }
 
-// ReadBlock implements Device.
-func (d *FileDevice) ReadBlock(idx uint64, dst []byte) error {
+// ReadVec implements Device: the whole vec is ONE preadv syscall per
+// attempt — the scatter segments go down together instead of one pread per
+// segment.
+func (d *FileDevice) ReadVec(_, start uint64, v BlockVec) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkIO(idx, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if err := d.transfer(false, idx, [][]byte{dst}); err != nil {
-		return fmt.Errorf("storage: reading block %d: %w", idx, err)
-	}
-	return nil
-}
-
-// WriteBlock implements Device.
-func (d *FileDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkIO(idx, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if err := d.transfer(true, idx, [][]byte{src}); err != nil {
-		return fmt.Errorf("storage: writing block %d: %w", idx, err)
-	}
-	return nil
-}
-
-// ReadBlocks implements RangeDevice: the whole range is one pread(v).
-func (d *FileDevice) ReadBlocks(start uint64, dst []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	if err := d.transfer(false, start, [][]byte{dst}); err != nil {
-		return fmt.Errorf("storage: reading %d blocks at %d: %w",
-			len(dst)/d.blockSize, start, err)
-	}
-	return nil
-}
-
-// WriteBlocks implements RangeDevice: the whole range is one pwrite(v).
-func (d *FileDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	if err := d.transfer(true, start, [][]byte{src}); err != nil {
-		return fmt.Errorf("storage: writing %d blocks at %d: %w",
-			len(src)/d.blockSize, start, err)
-	}
-	return nil
-}
-
-// ReadBlocksVec implements VecDevice: the whole vec is ONE preadv syscall
-// per attempt — the scatter segments go down together instead of one
-// pread per segment.
-func (d *FileDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
 	if v.Len() == 0 {
@@ -332,15 +256,15 @@ func (d *FileDevice) ReadBlocksVec(start uint64, v BlockVec) error {
 	return nil
 }
 
-// WriteBlocksVec implements VecDevice: one pwritev per attempt, gathering
-// the segments in order.
-func (d *FileDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+// WriteVec implements Device: one pwritev per attempt, gathering the
+// segments in order.
+func (d *FileDevice) WriteVec(_, start uint64, v BlockVec) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
 	if v.Len() == 0 {
@@ -515,8 +439,12 @@ func advanceSegs(segs [][]byte, n int) [][]byte {
 	return segs
 }
 
+// Discard implements Device. The image keeps discarded blocks as they are
+// (no hole punching), so discards never change what a snapshot shows.
+func (d *FileDevice) Discard(_, _, _ uint64) error { return nil }
+
 // Sync implements Device.
-func (d *FileDevice) Sync() error {
+func (d *FileDevice) Sync(uint64) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {

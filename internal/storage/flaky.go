@@ -78,7 +78,7 @@ type flakyKey struct {
 //     added with AddBadBlock fails, forever, like a grown defect.
 //   - latency spikes: an op stalls for LatencySpike then completes.
 //
-// Range and vec operations are block-granular like FaultDevice: the prefix
+// Operations are block-granular like FaultDevice: the prefix
 // before a faulting block transfers and the op fails with a PartialError,
 // so upper-layer partial-completion handling is exercised. Per-block op
 // counters (OpCount) number every block touched, giving the fault-sweep
@@ -97,11 +97,6 @@ type FlakyDevice struct {
 	ops       [flakyOpCount]uint64
 	stats     FlakyStats
 }
-
-var (
-	_ RangeDevice = (*FlakyDevice)(nil)
-	_ VecDevice   = (*FlakyDevice)(nil)
-)
 
 // NewFlakyDevice wraps inner with the given fault configuration.
 func NewFlakyDevice(inner Device, opts FlakyOptions) *FlakyDevice {
@@ -253,113 +248,52 @@ func (d *FlakyDevice) BlockSize() int { return d.inner.BlockSize() }
 // NumBlocks implements Device.
 func (d *FlakyDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
-// ReadBlock implements Device.
-func (d *FlakyDevice) ReadBlock(idx uint64, dst []byte) error {
-	err, spike := d.checkOp(FlakyRead, idx)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if err != nil {
-		return err
-	}
-	return d.inner.ReadBlock(idx, dst)
-}
-
-// WriteBlock implements Device.
-func (d *FlakyDevice) WriteBlock(idx uint64, src []byte) error {
-	err, spike := d.checkOp(FlakyWrite, idx)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if err != nil {
-		return err
-	}
-	return d.inner.WriteBlock(idx, src)
-}
-
-// ReadBlocks implements RangeDevice, block-granularly: the prefix before
-// the first faulting block transfers, then the op fails with a
-// PartialError carrying the completed count.
-func (d *FlakyDevice) ReadBlocks(start uint64, dst []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(dst) / bs
-	done, ferr, spike := d.firstFault(FlakyRead, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return ReadBlocks(d.inner, start, dst)
-	}
-	if done > 0 {
-		if err := ReadBlocks(d.inner, start, dst[:done*bs]); err != nil {
-			return err
-		}
-	}
-	return &PartialError{Done: done, Err: ferr}
-}
-
-// WriteBlocks implements RangeDevice with the same block-granular rule as
-// ReadBlocks.
-func (d *FlakyDevice) WriteBlocks(start uint64, src []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(src) / bs
-	done, ferr, spike := d.firstFault(FlakyWrite, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return WriteBlocks(d.inner, start, src)
-	}
-	if done > 0 {
-		if err := WriteBlocks(d.inner, start, src[:done*bs]); err != nil {
-			return err
-		}
-	}
-	return &PartialError{Done: done, Err: ferr}
-}
-
-// ReadBlocksVec implements VecDevice with the same block-granular rule as
-// ReadBlocks: the completed prefix may end mid-segment.
-func (d *FlakyDevice) ReadBlocksVec(start uint64, v BlockVec) error {
+// ReadVec implements Device, block-granularly: the prefix before the
+// first faulting block transfers — it may end mid-segment — then the op
+// fails with a PartialError carrying the completed count.
+func (d *FlakyDevice) ReadVec(fid, start uint64, v BlockVec) error {
 	n := v.Len()
 	done, ferr, spike := d.firstFault(FlakyRead, start, n)
 	if spike > 0 {
 		time.Sleep(spike)
 	}
 	if ferr == nil {
-		return ReadBlocksVec(d.inner, start, v)
+		return d.inner.ReadVec(fid, start, v)
 	}
 	if done > 0 {
-		if err := ReadBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
+		if err := d.inner.ReadVec(fid, start, v.Slice(0, done)); err != nil {
 			return err
 		}
 	}
 	return &PartialError{Done: done, Err: ferr}
 }
 
-// WriteBlocksVec implements VecDevice with the same block-granular rule as
-// ReadBlocksVec.
-func (d *FlakyDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+// WriteVec implements Device with the same block-granular rule as
+// ReadVec.
+func (d *FlakyDevice) WriteVec(fid, start uint64, v BlockVec) error {
 	n := v.Len()
 	done, ferr, spike := d.firstFault(FlakyWrite, start, n)
 	if spike > 0 {
 		time.Sleep(spike)
 	}
 	if ferr == nil {
-		return WriteBlocksVec(d.inner, start, v)
+		return d.inner.WriteVec(fid, start, v)
 	}
 	if done > 0 {
-		if err := WriteBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
+		if err := d.inner.WriteVec(fid, start, v.Slice(0, done)); err != nil {
 			return err
 		}
 	}
 	return &PartialError{Done: done, Err: ferr}
 }
+
+// Discard implements Device; discards are neither faulted nor forwarded.
+func (d *FlakyDevice) Discard(_, _, _ uint64) error { return nil }
 
 // Sync implements Device. Sync faults are op-index based only (one-shot
 // FailOpAt with op FlakySync); rate-based and bad-block faults never hit
 // Sync, so barrier behaviour stays deterministic under rate injection.
-func (d *FlakyDevice) Sync() error {
+func (d *FlakyDevice) Sync(fid uint64) error {
 	d.mu.Lock()
 	idx := d.ops[FlakySync]
 	d.ops[FlakySync]++
@@ -376,7 +310,7 @@ func (d *FlakyDevice) Sync() error {
 	if ok {
 		return fmt.Errorf("%w (%w): sync op %d", ErrInjected, class, idx)
 	}
-	return d.inner.Sync()
+	return d.inner.Sync(fid)
 }
 
 // Close implements Device.

@@ -11,7 +11,7 @@ func TestErrorClassHelpers(t *testing.T) {
 	d.SetErrorClass(ErrTransient)
 	d.FailWritesAfter(0)
 	buf := make([]byte, testBlockSize)
-	err := d.WriteBlock(0, buf)
+	err := WriteBlocks(d, 0, buf)
 	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
 		t.Fatalf("classed fault = %v (injected=%v transient=%v)",
 			err, errors.Is(err, ErrInjected), IsTransient(err))
@@ -23,7 +23,7 @@ func TestErrorClassHelpers(t *testing.T) {
 	// Classification survives PartialError wrapping on range ops.
 	d.SetErrorClass(ErrMedium)
 	d.FailWritesAfter(1)
-	err = d.WriteBlocks(0, make([]byte, 3*testBlockSize))
+	err = WriteBlocks(d, 0, make([]byte, 3*testBlockSize))
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 1 {
 		t.Fatalf("range fault = %v", err)
@@ -41,19 +41,19 @@ func TestFaultDeviceFailSyncsAfter(t *testing.T) {
 	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
 	d.FailSyncsAfter(2)
 	for i := 0; i < 2; i++ {
-		if err := d.Sync(); err != nil {
+		if err := d.Sync(0); err != nil {
 			t.Fatalf("sync %d within budget: %v", i, err)
 		}
 	}
-	if err := d.Sync(); !errors.Is(err, ErrInjected) {
+	if err := d.Sync(0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync past budget err = %v", err)
 	}
 	// Writes are not consumed by the sync budget.
-	if err := d.WriteBlock(0, make([]byte, testBlockSize)); err != nil {
+	if err := WriteBlocks(d, 0, make([]byte, testBlockSize)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	d.Disarm()
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("sync after disarm: %v", err)
 	}
 }
@@ -62,22 +62,22 @@ func TestFlakyDeviceTransientSucceedsOnRetry(t *testing.T) {
 	d := NewFlakyDevice(NewMemDevice(testBlockSize, 16),
 		FlakyOptions{Seed: 42, TransientRate: 1})
 	buf := bytes.Repeat([]byte{0xAB}, testBlockSize)
-	err := d.WriteBlock(3, buf)
+	err := WriteBlocks(d, 3, buf)
 	if !IsTransient(err) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("first write err = %v", err)
 	}
-	if err := d.WriteBlock(3, buf); err != nil {
+	if err := WriteBlocks(d, 3, buf); err != nil {
 		t.Fatalf("retry must succeed: %v", err)
 	}
 	// A faulted pair stays recovered for good; only first touches draw.
-	if err := d.WriteBlock(3, buf); err != nil {
+	if err := WriteBlocks(d, 3, buf); err != nil {
 		t.Fatalf("third write err = %v", err)
 	}
 	got := make([]byte, testBlockSize)
-	if err := d.ReadBlock(3, got); !IsTransient(err) {
+	if err := ReadBlocks(d, 3, got); !IsTransient(err) {
 		t.Fatalf("first read err = %v", err)
 	}
-	if err := d.ReadBlock(3, got); err != nil {
+	if err := ReadBlocks(d, 3, got); err != nil {
 		t.Fatalf("read retry: %v", err)
 	}
 	if !bytes.Equal(got, buf) {
@@ -95,7 +95,7 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 	// exactly 2 blocks and reports PartialError{Done: 2}.
 	d.FailOpAt(FlakyWrite, 2, nil)
 	src := bytes.Repeat([]byte{0x5C}, 5*testBlockSize)
-	err := d.WriteBlocks(4, src)
+	err := WriteBlocks(d, 4, src)
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 2 {
 		t.Fatalf("range write err = %v", err)
@@ -104,11 +104,11 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 		t.Fatalf("one-shot default class not transient: %v", err)
 	}
 	// The prefix landed; the retry of the whole range succeeds.
-	if err := d.WriteBlocks(4, src); err != nil {
+	if err := WriteBlocks(d, 4, src); err != nil {
 		t.Fatalf("range retry: %v", err)
 	}
 	got := make([]byte, 5*testBlockSize)
-	if err := d.ReadBlocks(4, got); err != nil {
+	if err := ReadBlocks(d, 4, got); err != nil {
 		t.Fatalf("readback: %v", err)
 	}
 	if !bytes.Equal(got, src) {
@@ -124,39 +124,39 @@ func TestFlakyDeviceStickyBadBlock(t *testing.T) {
 	d.AddBadBlock(5)
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 3; i++ {
-		if err := d.WriteBlock(5, buf); !IsMedium(err) {
+		if err := WriteBlocks(d, 5, buf); !IsMedium(err) {
 			t.Fatalf("bad-block write %d err = %v", i, err)
 		}
-		if err := d.ReadBlock(5, buf); !IsMedium(err) {
+		if err := ReadBlocks(d, 5, buf); !IsMedium(err) {
 			t.Fatalf("bad-block read %d err = %v", i, err)
 		}
 	}
 	// Neighbours unaffected; a range spanning the bad block lands the
 	// prefix and fails medium.
-	if err := d.WriteBlock(4, buf); err != nil {
+	if err := WriteBlocks(d, 4, buf); err != nil {
 		t.Fatalf("neighbour write: %v", err)
 	}
-	err := d.WriteBlocks(4, make([]byte, 3*testBlockSize))
+	err := WriteBlocks(d, 4, make([]byte, 3*testBlockSize))
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 1 || !IsMedium(err) {
 		t.Fatalf("spanning write err = %v", err)
 	}
 	d.ClearBadBlocks()
-	if err := d.WriteBlock(5, buf); err != nil {
+	if err := WriteBlocks(d, 5, buf); err != nil {
 		t.Fatalf("write after clear: %v", err)
 	}
 }
 
 func TestFlakyDeviceSyncOneShot(t *testing.T) {
 	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{Seed: 9})
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("sync 0: %v", err)
 	}
 	d.FailOpAt(FlakySync, 1, ErrMedium)
-	if err := d.Sync(); !IsMedium(err) {
+	if err := d.Sync(0); !IsMedium(err) {
 		t.Fatalf("sync 1 err = %v", err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("sync 2: %v", err)
 	}
 	if n := d.OpCount(FlakySync); n != 3 {
@@ -171,7 +171,7 @@ func TestFlakyDeviceDeterministicStream(t *testing.T) {
 		buf := make([]byte, testBlockSize)
 		var failed []uint64
 		for i := uint64(0); i < 64; i++ {
-			if err := d.WriteBlock(i, buf); err != nil {
+			if err := WriteBlocks(d, i, buf); err != nil {
 				failed = append(failed, i)
 			}
 		}

@@ -163,11 +163,6 @@ type MemDevice struct {
 	written uint64 // count of explicitly written blocks
 }
 
-var (
-	_ RangeDevice = (*MemDevice)(nil)
-	_ VecDevice   = (*MemDevice)(nil)
-)
-
 // NewMemDevice returns a zero-filled in-memory device with numBlocks blocks
 // of blockSize bytes.
 func NewMemDevice(blockSize int, numBlocks uint64) *MemDevice {
@@ -234,20 +229,6 @@ func (d *MemDevice) slabForWrite(idx uint64) *slab {
 	return s
 }
 
-// ReadBlock implements Device.
-func (d *MemDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkIO(idx, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	readSlabBlock(slabAt(d.root, idx), idx, dst, d.blockSize, d.bg)
-	return nil
-}
-
 // readSlabBlock copies block idx out of s (which covers it), falling back
 // to the background for unwritten blocks. s may be nil.
 func readSlabBlock(s *slab, idx uint64, dst []byte, bs int, bg Background) {
@@ -257,41 +238,6 @@ func readSlabBlock(s *slab, idx uint64, dst []byte, bs int, bg Background) {
 		return
 	}
 	bg.FillBlock(idx, dst)
-}
-
-// WriteBlock implements Device.
-func (d *MemDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkIO(idx, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	s := d.slabForWrite(idx)
-	off := idx & slabMask
-	copy(s.data[int(off)*d.blockSize:(int(off)+1)*d.blockSize], src)
-	if s.written&(1<<off) == 0 {
-		s.written |= 1 << off
-		d.written++
-	}
-	return nil
-}
-
-// ReadBlocks implements RangeDevice: one lock acquisition for the whole
-// range, and fully-written slab spans are served by single bulk copies.
-func (d *MemDevice) ReadBlocks(start uint64, dst []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	readSlabRange(d.root, d.bg, d.blockSize, start, dst)
-	return nil
 }
 
 // readSlabRange reads the validated block range [start, start+len(dst)/bs)
@@ -327,21 +273,6 @@ func covers(written, off, span uint64) bool {
 	return written&m == m
 }
 
-// WriteBlocks implements RangeDevice: one slab resolution and one bulk copy
-// per slab span.
-func (d *MemDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	d.writeRangeLocked(start, src)
-	return nil
-}
-
 // writeRangeLocked stores the validated block range [start,
 // start+len(src)/bs): one slab resolution and one bulk copy per slab span.
 // Caller holds d.mu for writing.
@@ -364,17 +295,17 @@ func (d *MemDevice) writeRangeLocked(start uint64, src []byte) {
 	}
 }
 
-// ReadBlocksVec implements VecDevice: one lock acquisition for the whole
-// vec, each segment served by the same per-slab bulk copies the flat range
-// path uses (a copy straddling a segment boundary splits at the boundary —
-// destinations are distinct buffers — but never re-resolves the slab).
-func (d *MemDevice) ReadBlocksVec(start uint64, v BlockVec) error {
+// ReadVec implements Device: one lock acquisition for the whole vec, each
+// segment served by per-slab bulk copies (a copy straddling a segment
+// boundary splits at the boundary — destinations are distinct buffers —
+// but never re-resolves the slab).
+func (d *MemDevice) ReadVec(_, start uint64, v BlockVec) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
 	return v.Range(func(off int, seg []byte) error {
@@ -383,15 +314,15 @@ func (d *MemDevice) ReadBlocksVec(start uint64, v BlockVec) error {
 	})
 }
 
-// WriteBlocksVec implements VecDevice: one lock acquisition, per-slab bulk
-// copies out of each segment.
-func (d *MemDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+// WriteVec implements Device: one lock acquisition, per-slab bulk copies
+// out of each segment.
+func (d *MemDevice) WriteVec(_, start uint64, v BlockVec) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
+	if err := CheckVec(start, v, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
 	return v.Range(func(off int, seg []byte) error {
@@ -400,9 +331,14 @@ func (d *MemDevice) WriteBlocksVec(start uint64, v BlockVec) error {
 	})
 }
 
+// Discard implements Device. A memory device keeps discarded blocks as
+// they are: zeroing or freeing them would change the images an adversary
+// snapshots.
+func (d *MemDevice) Discard(_, _, _ uint64) error { return nil }
+
 // Sync implements Device. Memory devices have no volatile buffer, so Sync
 // only validates the device is open.
-func (d *MemDevice) Sync() error {
+func (d *MemDevice) Sync(uint64) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {

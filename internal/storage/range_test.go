@@ -8,18 +8,8 @@ import (
 	"testing"
 )
 
-// blockOnly hides the RangeDevice methods of a device, forcing the generic
-// per-block fallback path through ReadBlocks/WriteBlocks.
-type blockOnly struct {
-	d Device
-}
-
-func (b blockOnly) ReadBlock(idx uint64, dst []byte) error  { return b.d.ReadBlock(idx, dst) }
-func (b blockOnly) WriteBlock(idx uint64, src []byte) error { return b.d.WriteBlock(idx, src) }
-func (b blockOnly) BlockSize() int                          { return b.d.BlockSize() }
-func (b blockOnly) NumBlocks() uint64                       { return b.d.NumBlocks() }
-func (b blockOnly) Sync() error                             { return b.d.Sync() }
-func (b blockOnly) Close() error                            { return b.d.Close() }
+// blockOnly serves every vec one block per inner call.
+type blockOnly = plainDevice
 
 // rangeDevices builds one instance of every range-capable device plus the
 // fallback wrapper, all with the same geometry.
@@ -42,7 +32,7 @@ func rangeDevices(t *testing.T, blockSize int, numBlocks uint64) map[string]Devi
 		"slice":    slice,
 		"stats":    NewStatsDevice(NewMemDevice(blockSize, numBlocks)),
 		"fault":    NewFaultDevice(NewMemDevice(blockSize, numBlocks)),
-		"fallback": blockOnly{NewMemDevice(blockSize, numBlocks)},
+		"fallback": &blockOnly{NewMemDevice(blockSize, numBlocks)},
 	}
 }
 
@@ -77,8 +67,8 @@ func TestRangeMatchesBlockwise(t *testing.T) {
 					}
 					// Shadow written per block: must be equivalent.
 					for j := uint64(0); j < n; j++ {
-						if err := shadow.WriteBlock(start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("shadow WriteBlock: %v", err)
+						if err := WriteBlocks(shadow, start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
+							t.Fatalf("shadow WriteBlocks: %v", err)
 						}
 					}
 				} else {
@@ -87,8 +77,8 @@ func TestRangeMatchesBlockwise(t *testing.T) {
 					}
 					want := make([]byte, n*blockSize)
 					for j := uint64(0); j < n; j++ {
-						if err := shadow.ReadBlock(start+j, want[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("shadow ReadBlock: %v", err)
+						if err := ReadBlocks(shadow, start+j, want[j*blockSize:(j+1)*blockSize]); err != nil {
+							t.Fatalf("shadow ReadBlocks: %v", err)
 						}
 					}
 					if !bytes.Equal(buf, want) {
@@ -173,12 +163,12 @@ func TestFaultDeviceRangeBudget(t *testing.T) {
 	}
 	// Once failed, the device stays failed (the documented arming
 	// contract): the rejected range consumed the remaining budget.
-	if err := fd.WriteBlock(0, make([]byte, 512)); !errors.Is(err, ErrInjected) {
+	if err := WriteBlocks(fd, 0, make([]byte, 512)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-failure write err = %v, want ErrInjected", err)
 	}
 	// Re-arming restores service.
 	fd.Disarm()
-	if err := fd.WriteBlock(0, make([]byte, 512)); err != nil {
+	if err := WriteBlocks(fd, 0, make([]byte, 512)); err != nil {
 		t.Fatalf("write after disarm: %v", err)
 	}
 }
@@ -197,7 +187,7 @@ func TestSnapshotRangeRead(t *testing.T) {
 	if err := ReadBlocks(snap, 0, got); err != nil {
 		t.Fatalf("snapshot ReadBlocks: %v", err)
 	}
-	want, err := ReadFull(blockOnly{snap}, 0, 16)
+	want, err := ReadFull(&blockOnly{snap}, 0, 16)
 	if err != nil {
 		t.Fatalf("snapshot per-block read: %v", err)
 	}

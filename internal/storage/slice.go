@@ -12,11 +12,6 @@ type SliceDevice struct {
 	length uint64
 }
 
-var (
-	_ RangeDevice = (*SliceDevice)(nil)
-	_ VecDevice   = (*SliceDevice)(nil)
-)
-
 // NewSliceDevice returns a view of parent covering blocks
 // [start, start+length). It fails if the range exceeds the parent.
 func NewSliceDevice(parent Device, start, length uint64) (*SliceDevice, error) {
@@ -33,68 +28,33 @@ func (d *SliceDevice) BlockSize() int { return d.parent.BlockSize() }
 // NumBlocks implements Device.
 func (d *SliceDevice) NumBlocks() uint64 { return d.length }
 
-// ReadBlock implements Device.
-func (d *SliceDevice) ReadBlock(idx uint64, dst []byte) error {
-	if idx >= d.length {
-		return fmt.Errorf("%w: block %d, slice has %d", ErrOutOfRange, idx, d.length)
-	}
-	return d.parent.ReadBlock(d.start+idx, dst)
-}
-
-// WriteBlock implements Device.
-func (d *SliceDevice) WriteBlock(idx uint64, src []byte) error {
-	if idx >= d.length {
-		return fmt.Errorf("%w: block %d, slice has %d", ErrOutOfRange, idx, d.length)
-	}
-	return d.parent.WriteBlock(d.start+idx, src)
-}
-
-// ReadBlocks implements RangeDevice by offsetting the range into the
-// parent, preserving the parent's native vectored path.
-func (d *SliceDevice) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, d.BlockSize(), d.length); err != nil {
+// ReadVec implements Device by offsetting the vec into the parent.
+func (d *SliceDevice) ReadVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.length); err != nil {
 		return err
 	}
-	return ReadBlocks(d.parent, d.start+start, dst)
+	return d.parent.ReadVec(fid, d.start+start, v)
 }
 
-// WriteBlocks implements RangeDevice.
-func (d *SliceDevice) WriteBlocks(start uint64, src []byte) error {
-	if err := checkRangeIO(start, src, d.BlockSize(), d.length); err != nil {
+// WriteVec implements Device by offsetting the vec into the parent.
+func (d *SliceDevice) WriteVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.length); err != nil {
 		return err
 	}
-	return WriteBlocks(d.parent, d.start+start, src)
+	return d.parent.WriteVec(fid, d.start+start, v)
 }
 
-// ReadBlocksVec implements VecDevice by offsetting the vec into the
-// parent, preserving the parent's native scatter-gather path.
-func (d *SliceDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return ReadBlocksVec(d.parent, d.start+start, v)
-}
-
-// WriteBlocksVec implements VecDevice.
-func (d *SliceDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return WriteBlocksVec(d.parent, d.start+start, v)
-}
-
-// DiscardRange implements Discarder by offsetting the range into the
-// parent; a parent without discard support ignores it.
-func (d *SliceDevice) DiscardRange(start, count uint64) error {
+// Discard implements Device by offsetting the range into the parent.
+func (d *SliceDevice) Discard(fid, start, count uint64) error {
 	if count > 0 && (start >= d.length || count > d.length-start) {
 		return fmt.Errorf("%w: blocks [%d, %d) of %d-block slice",
 			ErrOutOfRange, start, start+count, d.length)
 	}
-	return Discard(d.parent, d.start+start, count)
+	return d.parent.Discard(fid, d.start+start, count)
 }
 
 // Sync implements Device.
-func (d *SliceDevice) Sync() error { return d.parent.Sync() }
+func (d *SliceDevice) Sync(fid uint64) error { return d.parent.Sync(fid) }
 
 // Close implements Device. Closing a slice does not close the parent: the
 // parent owns the underlying resource and several slices share it.

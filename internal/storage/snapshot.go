@@ -22,44 +22,16 @@ type Snapshot struct {
 	bg        Background
 }
 
-var (
-	_ RangeDevice = (*Snapshot)(nil)
-	_ VecDevice   = (*Snapshot)(nil)
-)
-
 // BlockSize implements Device.
 func (s *Snapshot) BlockSize() int { return s.blockSize }
 
 // NumBlocks implements Device.
 func (s *Snapshot) NumBlocks() uint64 { return s.numBlocks }
 
-// ReadBlock implements Device. Snapshots are immutable and always readable.
-func (s *Snapshot) ReadBlock(idx uint64, dst []byte) error {
-	if err := checkIO(idx, dst, s.blockSize, s.numBlocks); err != nil {
-		return err
-	}
-	readSlabBlock(slabAt(s.root, idx), idx, dst, s.blockSize, s.bg)
-	return nil
-}
-
-// WriteBlock implements Device; snapshots are read-only.
-func (s *Snapshot) WriteBlock(uint64, []byte) error { return ErrReadOnly }
-
-// ReadBlocks implements RangeDevice.
-func (s *Snapshot) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, s.blockSize, s.numBlocks); err != nil {
-		return err
-	}
-	readSlabRange(s.root, s.bg, s.blockSize, start, dst)
-	return nil
-}
-
-// WriteBlocks implements RangeDevice; snapshots are read-only.
-func (s *Snapshot) WriteBlocks(uint64, []byte) error { return ErrReadOnly }
-
-// ReadBlocksVec implements VecDevice over the immutable slab tree.
-func (s *Snapshot) ReadBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, s.blockSize, s.numBlocks); err != nil {
+// ReadVec implements Device over the immutable slab tree. Snapshots are
+// always readable.
+func (s *Snapshot) ReadVec(_, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, s.blockSize, s.numBlocks); err != nil {
 		return err
 	}
 	return v.Range(func(off int, seg []byte) error {
@@ -68,11 +40,14 @@ func (s *Snapshot) ReadBlocksVec(start uint64, v BlockVec) error {
 	})
 }
 
-// WriteBlocksVec implements VecDevice; snapshots are read-only.
-func (s *Snapshot) WriteBlocksVec(uint64, BlockVec) error { return ErrReadOnly }
+// WriteVec implements Device; snapshots are read-only.
+func (s *Snapshot) WriteVec(uint64, uint64, BlockVec) error { return ErrReadOnly }
+
+// Discard implements Device; a snapshot keeps its image.
+func (s *Snapshot) Discard(_, _, _ uint64) error { return nil }
 
 // Sync implements Device.
-func (s *Snapshot) Sync() error { return nil }
+func (s *Snapshot) Sync(uint64) error { return nil }
 
 // Close implements Device; closing a snapshot is a no-op so that adversary
 // code can treat snapshots uniformly with live devices.
@@ -81,9 +56,10 @@ func (s *Snapshot) Close() error { return nil }
 // Block returns the content of block idx as a fresh slice.
 func (s *Snapshot) Block(idx uint64) []byte {
 	dst := make([]byte, s.blockSize)
-	// ReadBlock on a snapshot can only fail on a range error, which Block's
-	// callers guard against; return zero content in that case.
-	_ = s.ReadBlock(idx, dst)
+	// Block's callers guard the range; an out-of-range index reads zeros.
+	if idx < s.numBlocks {
+		readSlabBlock(slabAt(s.root, idx), idx, dst, s.blockSize, s.bg)
+	}
 	return dst
 }
 

@@ -101,15 +101,6 @@ type StatsDevice struct {
 	writeTrace []uint64
 }
 
-var (
-	_ RangeDevice       = (*StatsDevice)(nil)
-	_ VecDevice         = (*StatsDevice)(nil)
-	_ FlightBlockDevice = (*StatsDevice)(nil)
-	_ FlightRangeDevice = (*StatsDevice)(nil)
-	_ FlightVecDevice   = (*StatsDevice)(nil)
-	_ FlightSyncer      = (*StatsDevice)(nil)
-)
-
 // NewStatsDevice wraps inner with I/O accounting.
 func NewStatsDevice(inner Device) *StatsDevice {
 	return &StatsDevice{inner: inner}
@@ -183,7 +174,7 @@ func (d *StatsDevice) ResetStats() {
 }
 
 // traceWrite appends n ascending block indexes starting at start to the
-// write trace, as the per-block path would record them.
+// write trace.
 func (d *StatsDevice) traceWrite(start, n uint64) {
 	d.mu.Lock()
 	for i := uint64(0); i < n; i++ {
@@ -198,123 +189,12 @@ func (d *StatsDevice) BlockSize() int { return d.inner.BlockSize() }
 // NumBlocks implements Device.
 func (d *StatsDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
-// ReadBlock implements Device.
-func (d *StatsDevice) ReadBlock(idx uint64, dst []byte) error {
-	return d.readBlockF(0, idx, dst)
-}
-
-// ReadBlockFlight implements FlightBlockDevice.
-func (d *StatsDevice) ReadBlockFlight(fid, idx uint64, dst []byte) error {
-	return d.readBlockF(fid, idx, dst)
-}
-
-func (d *StatsDevice) readBlockF(fid, idx uint64, dst []byte) error {
+// ReadVec implements Device; the vec's blocks count individually, so
+// write-amplification accounting does not depend on how a request was
+// segmented or merged. Latency is one observation per call.
+func (d *StatsDevice) ReadVec(fid, start uint64, v BlockVec) error {
 	t0 := time.Now()
-	err := d.inner.ReadBlock(idx, dst)
-	d.devop(fid, obs.FOpRead, 1, err)
-	if err != nil {
-		return err
-	}
-	d.m.ReadLat.Since(t0)
-	d.m.ReadBlocks.Inc()
-	d.m.BytesRead.Add(uint64(len(dst)))
-	return nil
-}
-
-// WriteBlock implements Device.
-func (d *StatsDevice) WriteBlock(idx uint64, src []byte) error {
-	return d.writeBlockF(0, idx, src)
-}
-
-// WriteBlockFlight implements FlightBlockDevice.
-func (d *StatsDevice) WriteBlockFlight(fid, idx uint64, src []byte) error {
-	return d.writeBlockF(fid, idx, src)
-}
-
-func (d *StatsDevice) writeBlockF(fid, idx uint64, src []byte) error {
-	t0 := time.Now()
-	err := d.inner.WriteBlock(idx, src)
-	d.devop(fid, obs.FOpWrite, 1, err)
-	if err != nil {
-		return err
-	}
-	d.m.WriteLat.Since(t0)
-	d.m.WriteBlocks.Inc()
-	d.m.BytesWrite.Add(uint64(len(src)))
-	if d.traceOn.Load() {
-		d.traceWrite(idx, 1)
-	}
-	return nil
-}
-
-// ReadBlocks implements RangeDevice; the n blocks count exactly as n
-// per-block reads would, so write-amplification accounting is unchanged by
-// vectoring. Latency is one observation per range op.
-func (d *StatsDevice) ReadBlocks(start uint64, dst []byte) error {
-	return d.readBlocksF(0, start, dst)
-}
-
-// ReadBlocksFlight implements FlightRangeDevice.
-func (d *StatsDevice) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	return d.readBlocksF(fid, start, dst)
-}
-
-func (d *StatsDevice) readBlocksF(fid, start uint64, dst []byte) error {
-	t0 := time.Now()
-	err := ReadBlocks(d.inner, start, dst)
-	d.devop(fid, obs.FOpRead, uint64(len(dst)/d.inner.BlockSize()), err)
-	if err != nil {
-		return err
-	}
-	d.m.ReadLat.Since(t0)
-	d.m.ReadBlocks.Add(uint64(len(dst) / d.inner.BlockSize()))
-	d.m.BytesRead.Add(uint64(len(dst)))
-	return nil
-}
-
-// WriteBlocks implements RangeDevice. The write trace records every block
-// of the range in ascending order, as the per-block path would.
-func (d *StatsDevice) WriteBlocks(start uint64, src []byte) error {
-	return d.writeBlocksF(0, start, src)
-}
-
-// WriteBlocksFlight implements FlightRangeDevice.
-func (d *StatsDevice) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	return d.writeBlocksF(fid, start, src)
-}
-
-func (d *StatsDevice) writeBlocksF(fid, start uint64, src []byte) error {
-	t0 := time.Now()
-	err := WriteBlocks(d.inner, start, src)
-	d.devop(fid, obs.FOpWrite, uint64(len(src)/d.inner.BlockSize()), err)
-	if err != nil {
-		return err
-	}
-	d.m.WriteLat.Since(t0)
-	n := uint64(len(src) / d.inner.BlockSize())
-	d.m.WriteBlocks.Add(n)
-	d.m.BytesWrite.Add(uint64(len(src)))
-	if d.traceOn.Load() {
-		d.traceWrite(start, n)
-	}
-	return nil
-}
-
-// ReadBlocksVec implements VecDevice; the vec's blocks count exactly as the
-// per-block path would, so write-amplification accounting is unchanged by
-// scatter-gather.
-func (d *StatsDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	return d.readBlocksVecF(0, start, v)
-}
-
-// ReadBlocksVecFlight implements FlightVecDevice.
-func (d *StatsDevice) ReadBlocksVecFlight(fid, start uint64, v BlockVec) error {
-	return d.readBlocksVecF(fid, start, v)
-}
-
-func (d *StatsDevice) readBlocksVecF(fid, start uint64, v BlockVec) error {
-	t0 := time.Now()
-	err := ReadBlocksVec(d.inner, start, v)
+	err := d.inner.ReadVec(fid, start, v)
 	d.devop(fid, obs.FOpRead, uint64(v.Len()), err)
 	if err != nil {
 		return err
@@ -325,20 +205,11 @@ func (d *StatsDevice) readBlocksVecF(fid, start uint64, v BlockVec) error {
 	return nil
 }
 
-// WriteBlocksVec implements VecDevice. The write trace records every block
-// of the vec in ascending order, as the per-block path would.
-func (d *StatsDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	return d.writeBlocksVecF(0, start, v)
-}
-
-// WriteBlocksVecFlight implements FlightVecDevice.
-func (d *StatsDevice) WriteBlocksVecFlight(fid, start uint64, v BlockVec) error {
-	return d.writeBlocksVecF(fid, start, v)
-}
-
-func (d *StatsDevice) writeBlocksVecF(fid, start uint64, v BlockVec) error {
+// WriteVec implements Device. The write trace records every block of the
+// vec in ascending order.
+func (d *StatsDevice) WriteVec(fid, start uint64, v BlockVec) error {
 	t0 := time.Now()
-	err := WriteBlocksVec(d.inner, start, v)
+	err := d.inner.WriteVec(fid, start, v)
 	d.devop(fid, obs.FOpWrite, uint64(v.Len()), err)
 	if err != nil {
 		return err
@@ -353,15 +224,14 @@ func (d *StatsDevice) writeBlocksVecF(fid, start uint64, v BlockVec) error {
 	return nil
 }
 
+// Discard implements Device. It is not forwarded: the accounting layer
+// sits over raw regions, which keep discarded data as it is.
+func (d *StatsDevice) Discard(_, _, _ uint64) error { return nil }
+
 // Sync implements Device.
-func (d *StatsDevice) Sync() error { return d.syncF(0) }
-
-// SyncFlight implements FlightSyncer.
-func (d *StatsDevice) SyncFlight(fid uint64) error { return d.syncF(fid) }
-
-func (d *StatsDevice) syncF(fid uint64) error {
+func (d *StatsDevice) Sync(fid uint64) error {
 	t0 := time.Now()
-	err := d.inner.Sync()
+	err := d.inner.Sync(fid)
 	d.devop(fid, obs.FOpSync, 0, err)
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ func BenchmarkDeviceWriteOverhead(b *testing.B) {
 		b.SetBytes(int64(dev.BlockSize()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := dev.WriteBlock(uint64(i)%blocks, buf); err != nil {
+			if err := WriteBlocks(dev, uint64(i)%blocks, buf); err != nil {
 				b.Fatal(err)
 			}
 		}

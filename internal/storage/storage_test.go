@@ -22,12 +22,12 @@ func TestMemDeviceReadWriteRoundtrip(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 64)
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 7)
-	if err := d.WriteBlock(5, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 5, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	dst := make([]byte, testBlockSize)
-	if err := d.ReadBlock(5, dst); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d, 5, dst); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(src, dst) {
 		t.Fatal("read back different data")
@@ -38,8 +38,8 @@ func TestMemDeviceUnwrittenReadsZero(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 8)
 	dst := make([]byte, testBlockSize)
 	fillPattern(dst, 1) // dirty the buffer
-	if err := d.ReadBlock(3, dst); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d, 3, dst); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	for i, b := range dst {
 		if b != 0 {
@@ -51,22 +51,22 @@ func TestMemDeviceUnwrittenReadsZero(t *testing.T) {
 func TestMemDeviceOutOfRange(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 8)
 	buf := make([]byte, testBlockSize)
-	if err := d.ReadBlock(8, buf); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("ReadBlock(8) err = %v, want ErrOutOfRange", err)
+	if err := ReadBlocks(d, 8, buf); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("ReadBlocks(8) err = %v, want ErrOutOfRange", err)
 	}
-	if err := d.WriteBlock(100, buf); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("WriteBlock(100) err = %v, want ErrOutOfRange", err)
+	if err := WriteBlocks(d, 100, buf); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("WriteBlocks(100) err = %v, want ErrOutOfRange", err)
 	}
 }
 
 func TestMemDeviceBadBuffer(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 8)
 	short := make([]byte, testBlockSize-1)
-	if err := d.ReadBlock(0, short); !errors.Is(err, ErrBadBuffer) {
+	if err := ReadBlocks(d, 0, short); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("short read err = %v, want ErrBadBuffer", err)
 	}
 	long := make([]byte, testBlockSize+1)
-	if err := d.WriteBlock(0, long); !errors.Is(err, ErrBadBuffer) {
+	if err := WriteBlocks(d, 0, long); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("long write err = %v, want ErrBadBuffer", err)
 	}
 }
@@ -77,13 +77,13 @@ func TestMemDeviceClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	buf := make([]byte, testBlockSize)
-	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrClosed) {
+	if err := ReadBlocks(d, 0, buf); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close err = %v, want ErrClosed", err)
 	}
-	if err := d.WriteBlock(0, buf); !errors.Is(err, ErrClosed) {
+	if err := WriteBlocks(d, 0, buf); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close err = %v, want ErrClosed", err)
 	}
-	if err := d.Sync(); !errors.Is(err, ErrClosed) {
+	if err := d.Sync(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("sync after close err = %v, want ErrClosed", err)
 	}
 }
@@ -92,13 +92,13 @@ func TestMemDeviceWriteDoesNotAliasCaller(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 8)
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 3)
-	if err := d.WriteBlock(0, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 0, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	src[0] = ^src[0] // mutate caller buffer after the write
 	dst := make([]byte, testBlockSize)
-	if err := d.ReadBlock(0, dst); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d, 0, dst); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if dst[0] == src[0] {
 		t.Fatal("device aliased the caller's write buffer")
@@ -146,8 +146,8 @@ func TestMemDeviceNoiseBackgroundRead(t *testing.T) {
 	d := NewMemDeviceBackground(testBlockSize, 16, bg)
 	got := make([]byte, testBlockSize)
 	want := make([]byte, testBlockSize)
-	if err := d.ReadBlock(4, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d, 4, got); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	bg.FillBlock(4, want)
 	if !bytes.Equal(got, want) {
@@ -156,11 +156,11 @@ func TestMemDeviceNoiseBackgroundRead(t *testing.T) {
 	// Overwrite, then the write wins.
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 9)
-	if err := d.WriteBlock(4, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 4, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
-	if err := d.ReadBlock(4, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d, 4, got); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatal("written block did not override background")
@@ -171,27 +171,27 @@ func TestSnapshotIsImmutablePointInTime(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 32)
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 1)
-	if err := d.WriteBlock(2, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 2, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	snap := d.Snapshot()
 
 	// Mutate the device after the snapshot.
 	fillPattern(src, 2)
-	if err := d.WriteBlock(2, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 2, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 
 	got := make([]byte, testBlockSize)
-	if err := snap.ReadBlock(2, got); err != nil {
-		t.Fatalf("snapshot ReadBlock: %v", err)
+	if err := ReadBlocks(snap, 2, got); err != nil {
+		t.Fatalf("snapshot ReadBlocks: %v", err)
 	}
 	want := make([]byte, testBlockSize)
 	fillPattern(want, 1)
 	if !bytes.Equal(got, want) {
 		t.Fatal("snapshot content changed after device mutation")
 	}
-	if err := snap.WriteBlock(2, src); !errors.Is(err, ErrReadOnly) {
+	if err := WriteBlocks(snap, 2, src); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("snapshot write err = %v, want ErrReadOnly", err)
 	}
 }
@@ -201,22 +201,22 @@ func TestSnapshotDiffFindsExactlyChangedBlocks(t *testing.T) {
 	buf := make([]byte, testBlockSize)
 	fillPattern(buf, 1)
 	for _, idx := range []uint64{1, 5, 9} {
-		if err := d.WriteBlock(idx, buf); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
+		if err := WriteBlocks(d, idx, buf); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
 		}
 	}
 	s1 := d.Snapshot()
 
 	fillPattern(buf, 2)
 	for _, idx := range []uint64{5, 30} { // change one old, one new
-		if err := d.WriteBlock(idx, buf); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
+		if err := WriteBlocks(d, idx, buf); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
 		}
 	}
 	// Rewrite block 1 with identical content: must NOT appear in diff.
 	fillPattern(buf, 1)
-	if err := d.WriteBlock(1, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 1, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	s2 := d.Snapshot()
 
@@ -237,8 +237,8 @@ func TestSnapshotDiffSymmetric(t *testing.T) {
 	buf := make([]byte, testBlockSize)
 	s1 := d.Snapshot()
 	fillPattern(buf, 3)
-	if err := d.WriteBlock(7, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 7, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	s2 := d.Snapshot()
 	a := s1.Diff(s2)
@@ -255,8 +255,8 @@ func TestSnapshotDiffNoiseBackground(t *testing.T) {
 	s1 := d.Snapshot()
 	buf := make([]byte, testBlockSize)
 	fillPattern(buf, 9)
-	if err := d.WriteBlock(20, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 20, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	s2 := d.Snapshot()
 	diff := s1.Diff(s2)
@@ -269,13 +269,13 @@ func TestSnapshotMaterializedBlocks(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 32)
 	buf := make([]byte, testBlockSize)
 	fillPattern(buf, 4)
-	if err := d.WriteBlock(3, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 3, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	// Writing zeros to a zero-background device is not materially different.
 	zero := make([]byte, testBlockSize)
-	if err := d.WriteBlock(4, zero); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 4, zero); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	got := d.Snapshot().MaterializedBlocks()
 	if len(got) != 1 || got[0] != 3 {
@@ -294,24 +294,24 @@ func TestSliceDeviceMapsOffsets(t *testing.T) {
 	}
 	buf := make([]byte, testBlockSize)
 	fillPattern(buf, 5)
-	if err := s.WriteBlock(0, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(s, 0, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	got := make([]byte, testBlockSize)
-	if err := parent.ReadBlock(10, got); err != nil {
-		t.Fatalf("parent ReadBlock: %v", err)
+	if err := ReadBlocks(parent, 10, got); err != nil {
+		t.Fatalf("parent ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(buf, got) {
 		t.Fatal("slice block 0 did not land at parent block 10")
 	}
-	if err := s.ReadBlock(19, got); err != nil {
-		t.Fatalf("ReadBlock(19): %v", err)
+	if err := ReadBlocks(s, 19, got); err != nil {
+		t.Fatalf("ReadBlocks(19): %v", err)
 	}
-	if err := s.ReadBlock(20, got); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("ReadBlock(20) err = %v, want ErrOutOfRange", err)
+	if err := ReadBlocks(s, 20, got); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("ReadBlocks(20) err = %v, want ErrOutOfRange", err)
 	}
-	if err := s.WriteBlock(20, buf); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("WriteBlock(20) err = %v, want ErrOutOfRange", err)
+	if err := WriteBlocks(s, 20, buf); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("WriteBlocks(20) err = %v, want ErrOutOfRange", err)
 	}
 }
 
@@ -332,16 +332,16 @@ func TestStatsDeviceCounts(t *testing.T) {
 	d := NewStatsDevice(NewMemDevice(testBlockSize, 16))
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 3; i++ {
-		if err := d.WriteBlock(uint64(i), buf); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
+		if err := WriteBlocks(d, uint64(i), buf); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if err := d.ReadBlock(0, buf); err != nil {
-			t.Fatalf("ReadBlock: %v", err)
+		if err := ReadBlocks(d, 0, buf); err != nil {
+			t.Fatalf("ReadBlocks: %v", err)
 		}
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	st := d.Stats()
@@ -360,10 +360,10 @@ func TestStatsDeviceCounts(t *testing.T) {
 func TestStatsDeviceDoesNotCountFailedIO(t *testing.T) {
 	d := NewStatsDevice(NewMemDevice(testBlockSize, 4))
 	buf := make([]byte, testBlockSize)
-	if err := d.WriteBlock(99, buf); err == nil {
+	if err := WriteBlocks(d, 99, buf); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	if err := d.ReadBlock(99, buf); err == nil {
+	if err := ReadBlocks(d, 99, buf); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if st := d.Stats(); st.Writes != 0 || st.Reads != 0 {
@@ -374,8 +374,8 @@ func TestStatsDeviceDoesNotCountFailedIO(t *testing.T) {
 func TestStatsDeviceWriteTrace(t *testing.T) {
 	d := NewStatsDevice(NewMemDevice(testBlockSize, 16))
 	buf := make([]byte, testBlockSize)
-	if err := d.WriteBlock(9, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 9, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	if got := d.WriteTrace(); len(got) != 0 {
 		t.Fatalf("trace recorded while disabled: %v", got)
@@ -383,8 +383,8 @@ func TestStatsDeviceWriteTrace(t *testing.T) {
 	d.EnableWriteTrace()
 	order := []uint64{3, 1, 4, 1, 5}
 	for _, idx := range order {
-		if err := d.WriteBlock(idx, buf); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
+		if err := WriteBlocks(d, idx, buf); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
 		}
 	}
 	got := d.WriteTrace()
@@ -406,10 +406,10 @@ func TestFileDeviceRoundtrip(t *testing.T) {
 	}
 	src := make([]byte, testBlockSize)
 	fillPattern(src, 8)
-	if err := d.WriteBlock(30, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := WriteBlocks(d, 30, src); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(0); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -429,8 +429,8 @@ func TestFileDeviceRoundtrip(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 32", d2.NumBlocks())
 	}
 	got := make([]byte, testBlockSize)
-	if err := d2.ReadBlock(30, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := ReadBlocks(d2, 30, got); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(src, got) {
 		t.Fatal("persisted block mismatch")
@@ -450,7 +450,7 @@ func TestFileDeviceCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	buf := make([]byte, testBlockSize)
-	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrClosed) {
+	if err := ReadBlocks(d, 0, buf); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close err = %v, want ErrClosed", err)
 	}
 }
@@ -469,15 +469,15 @@ func TestOpenFileDeviceRejectsMisalignedImage(t *testing.T) {
 	}
 }
 
-func TestReadWriteFullHelpers(t *testing.T) {
+func TestReadFullAndBlocksHelpers(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 16)
 	data := make([]byte, 4*testBlockSize)
 	src := prng.NewSource(77)
 	if _, err := src.Read(data); err != nil {
 		t.Fatalf("prng Read: %v", err)
 	}
-	if err := WriteFull(d, 2, data); err != nil {
-		t.Fatalf("WriteFull: %v", err)
+	if err := WriteBlocks(d, 2, data); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
 	got, err := ReadFull(d, 2, 4)
 	if err != nil {
@@ -486,8 +486,8 @@ func TestReadWriteFullHelpers(t *testing.T) {
 	if !bytes.Equal(data, got) {
 		t.Fatal("ReadFull mismatch")
 	}
-	if err := WriteFull(d, 0, data[:testBlockSize+1]); !errors.Is(err, ErrBadBuffer) {
-		t.Fatalf("misaligned WriteFull err = %v, want ErrBadBuffer", err)
+	if err := WriteBlocks(d, 0, data[:testBlockSize+1]); !errors.Is(err, ErrBadBuffer) {
+		t.Fatalf("misaligned WriteBlocks err = %v, want ErrBadBuffer", err)
 	}
 }
 
@@ -505,7 +505,7 @@ func TestMemDevicePropertyLastWriteWins(t *testing.T) {
 		for _, op := range ops {
 			idx := uint64(op.Idx) % nBlocks
 			fillPattern(buf, op.Seed)
-			if err := d.WriteBlock(idx, buf); err != nil {
+			if err := WriteBlocks(d, idx, buf); err != nil {
 				return false
 			}
 			last[idx] = op.Seed
@@ -513,7 +513,7 @@ func TestMemDevicePropertyLastWriteWins(t *testing.T) {
 		got := make([]byte, testBlockSize)
 		want := make([]byte, testBlockSize)
 		for idx, seed := range last {
-			if err := d.ReadBlock(idx, got); err != nil {
+			if err := ReadBlocks(d, idx, got); err != nil {
 				return false
 			}
 			fillPattern(want, seed)
@@ -539,7 +539,7 @@ func TestSnapshotPropertyDiffEmptyOnNoChange(t *testing.T) {
 			if _, err := src.Read(buf); err != nil {
 				return false
 			}
-			if err := d.WriteBlock(src.Uint64n(64), buf); err != nil {
+			if err := WriteBlocks(d, src.Uint64n(64), buf); err != nil {
 				return false
 			}
 		}

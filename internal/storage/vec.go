@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // BlockVec is a scatter-gather buffer: an ordered list of byte segments,
 // each a whole number of blocks, addressing one contiguous block range of a
@@ -51,17 +48,21 @@ func Vec(bs int, segs ...[]byte) BlockVec {
 	return v
 }
 
-// VecOne builds the single-segment vec over seg, with the same validity
-// rules as Vec. It is Vec specialized for the flat-buffer wrappers on the
-// I/O hot path: the variadic Vec lets its segment list escape into the
-// multi-segment spine, so even one-segment calls cost the temporary slice
-// an allocation — VecOne takes no slice at all and stays allocation-free.
+// VecOne builds the single-segment vec over seg; an empty seg gives the
+// empty vec. A non-empty seg must be a whole number of blocks, as for Vec.
+// It is Vec specialized for flat buffers on the I/O hot path: the variadic
+// Vec lets its segment list escape into the multi-segment spine, so even
+// one-segment calls cost the temporary slice an allocation — VecOne takes
+// no slice at all and stays allocation-free.
 func VecOne(bs int, seg []byte) BlockVec {
 	if bs <= 0 {
 		panic("storage: non-positive block size")
 	}
-	if len(seg) == 0 || len(seg)%bs != 0 {
+	if len(seg)%bs != 0 {
 		panic(fmt.Sprintf("storage: vec segment of %d bytes, block size %d", len(seg), bs))
+	}
+	if len(seg) == 0 {
+		return BlockVec{bs: bs}
 	}
 	return BlockVec{bs: bs, seg0: seg}
 }
@@ -187,152 +188,16 @@ func (v BlockVec) Range(fn func(blockOff int, seg []byte) error) error {
 	return nil
 }
 
-// Flatten gathers the vec into one contiguous buffer. A single-segment vec
-// returns its segment directly (no copy, aliasing the caller's buffer);
-// otherwise a fresh buffer is allocated. It is the escape hatch for
-// consumers that genuinely need contiguity — the I/O paths should not.
-func (v BlockVec) Flatten() []byte {
-	if len(v.rest) == 0 {
-		return v.seg0
-	}
-	out := make([]byte, 0, v.Bytes())
-	out = append(out, v.seg0...)
-	for _, s := range v.rest {
-		out = append(out, s...)
-	}
-	return out
-}
-
-// CopyIn scatters src across the vec's segments, returning the bytes
-// copied. Used by scratch-based fallbacks and tests; the zero-copy paths
-// never call it.
-func (v BlockVec) CopyIn(src []byte) int {
-	done := copy(v.seg0, src)
-	for _, s := range v.rest {
-		if done >= len(src) {
-			break
+// EachBlock calls fn for every block of the vec in order, with the block's
+// offset inside the vec and its bytes (aliasing the caller's segment). fn
+// returning an error stops the walk and EachBlock returns it.
+func (v BlockVec) EachBlock(fn func(blockOff int, blk []byte) error) error {
+	return v.Range(func(off int, seg []byte) error {
+		for i := 0; i*v.bs < len(seg); i++ {
+			if err := fn(off+i, seg[i*v.bs:(i+1)*v.bs]); err != nil {
+				return err
+			}
 		}
-		done += copy(s, src[done:])
-	}
-	return done
-}
-
-// VecDevice is the optional scatter-gather extension of Device: a vec
-// operation moves v.Len() consecutive device blocks through the vec's
-// segments in order, in one call. It is RangeDevice generalized from one
-// destination buffer to many — implementations must behave exactly like
-// ReadBlocks/WriteBlocks over the flattened vec, without requiring the vec
-// to be flat.
-//
-// Like range ops, vec ops may fail with no partial effects or with a prefix
-// transferred; a block-granular implementation reports the prefix length
-// via PartialError (counted in blocks across all segments).
-type VecDevice interface {
-	Device
-	// ReadBlocksVec copies blocks [start, start+v.Len()) into the vec's
-	// segments in order.
-	ReadBlocksVec(start uint64, v BlockVec) error
-	// WriteBlocksVec stores the vec's segments, in order, as blocks
-	// [start, start+v.Len()).
-	WriteBlocksVec(start uint64, v BlockVec) error
-}
-
-// checkVecIO validates a vec request against a device geometry. A vec
-// whose block size disagrees with the device's is rejected; zero-length
-// vecs are valid no-ops.
-func checkVecIO(start uint64, v BlockVec, blockSize int, numBlocks uint64) error {
-	if v.seg0 == nil {
-		return nil
-	}
-	if v.bs != blockSize {
-		return fmt.Errorf("%w: vec block size %d, device %d",
-			ErrBadBuffer, v.bs, blockSize)
-	}
-	n := uint64(v.Len())
-	if start >= numBlocks || n > numBlocks-start {
-		return fmt.Errorf("%w: blocks [%d, %d), device has %d",
-			ErrOutOfRange, start, start+n, numBlocks)
-	}
-	return nil
-}
-
-// ReadBlocksVec reads v.Len() consecutive blocks of d starting at start,
-// scattered across v's segments. The fallback ladder: a VecDevice serves
-// the request natively; a single-segment vec degrades to the flat
-// ReadBlocks path (which itself falls back per block on plain Devices);
-// multi-segment vecs on non-vec devices degrade to one RangeDevice call
-// per segment, with PartialError block counts accumulated across the
-// segment boundary.
-func ReadBlocksVec(d Device, start uint64, v BlockVec) error {
-	if v.seg0 != nil && len(v.rest) == 0 && v.bs == d.BlockSize() {
-		// The degrade is only valid when the vec's block unit matches the
-		// device's; a mismatched vec falls through to the checked paths,
-		// which reject it with ErrBadBuffer.
-		return ReadBlocks(d, start, v.seg0)
-	}
-	if vd, ok := d.(VecDevice); ok {
-		return vd.ReadBlocksVec(start, v)
-	}
-	return readVecSegmented(d, start, v)
-}
-
-// WriteBlocksVec writes v's segments, in order, as v.Len() consecutive
-// blocks of d starting at start, with the same fallback ladder as
-// ReadBlocksVec.
-func WriteBlocksVec(d Device, start uint64, v BlockVec) error {
-	if v.seg0 != nil && len(v.rest) == 0 && v.bs == d.BlockSize() {
-		return WriteBlocks(d, start, v.seg0)
-	}
-	if vd, ok := d.(VecDevice); ok {
-		return vd.WriteBlocksVec(start, v)
-	}
-	return writeVecSegmented(d, start, v)
-}
-
-// readVecSegmented is the generic fallback behind ReadBlocksVec: one
-// RangeDevice read per segment. A segment failing with a PartialError has
-// the blocks of the preceding segments added to its Done count, so the
-// caller sees the transferred prefix of the whole vec.
-func readVecSegmented(d Device, start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
-		return err
-	}
-	done := 0
-	return v.Range(func(_ int, s []byte) error {
-		if err := ReadBlocks(d, start+uint64(done), s); err != nil {
-			return vecSegmentError(err, done)
-		}
-		done += len(s) / v.bs
 		return nil
 	})
-}
-
-// writeVecSegmented is the generic fallback behind WriteBlocksVec.
-func writeVecSegmented(d Device, start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
-		return err
-	}
-	done := 0
-	return v.Range(func(_ int, s []byte) error {
-		if err := WriteBlocks(d, start+uint64(done), s); err != nil {
-			return vecSegmentError(err, done)
-		}
-		done += len(s) / v.bs
-		return nil
-	})
-}
-
-// vecSegmentError rebases a segment-local error onto the whole vec: a
-// PartialError's Done count grows by the blocks the earlier segments
-// transferred. A failure with no partial-completion report after a
-// transferred prefix is itself a partial completion of the vec.
-func vecSegmentError(err error, before int) error {
-	var pe *PartialError
-	if errors.As(err, &pe) {
-		return &PartialError{Done: before + pe.Done, Err: pe.Err}
-	}
-	if before > 0 {
-		return &PartialError{Done: before, Err: err}
-	}
-	return err
 }

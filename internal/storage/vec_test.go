@@ -25,6 +25,16 @@ func randomVecOver(src *prng.Source, bs int, buf []byte) BlockVec {
 	return v
 }
 
+// flatten gathers a vec into one fresh contiguous buffer.
+func flatten(v BlockVec) []byte {
+	out := make([]byte, 0, v.Bytes())
+	_ = v.Range(func(_ int, seg []byte) error {
+		out = append(out, seg...)
+		return nil
+	})
+	return out
+}
+
 func TestBlockVecHelpers(t *testing.T) {
 	const bs = 16
 	a := make([]byte, 2*bs)
@@ -43,13 +53,12 @@ func TestBlockVecHelpers(t *testing.T) {
 	if v.Len() != 6 || v.Bytes() != 6*bs || v.Segments() != 3 {
 		t.Fatalf("Len=%d Bytes=%d Segments=%d", v.Len(), v.Bytes(), v.Segments())
 	}
-	flat := v.Flatten()
 	want := append(append(append([]byte(nil), a...), b...), c...)
-	if !bytes.Equal(flat, want) {
-		t.Fatal("Flatten mismatch")
+	if !bytes.Equal(flatten(v), want) {
+		t.Fatal("flatten mismatch")
 	}
 	// Full-range slice reproduces the vec; zero-length slice is empty.
-	if got := v.Slice(0, 6).Flatten(); !bytes.Equal(got, want) {
+	if got := flatten(v.Slice(0, 6)); !bytes.Equal(got, want) {
 		t.Fatal("full Slice mismatch")
 	}
 	if v.Slice(4, 0).Len() != 0 {
@@ -64,7 +73,7 @@ func TestBlockVecHelpers(t *testing.T) {
 	if a[bs] != 'X' {
 		t.Fatal("Slice does not alias the source segment")
 	}
-	if !bytes.Equal(sub.Flatten(), append(append([]byte(nil), a[bs:]...), b[:2*bs]...)) {
+	if !bytes.Equal(flatten(sub), append(append([]byte(nil), a[bs:]...), b[:2*bs]...)) {
 		t.Fatal("Slice content mismatch")
 	}
 	// Range walks segments with correct block offsets.
@@ -79,10 +88,21 @@ func TestBlockVecHelpers(t *testing.T) {
 			t.Fatalf("Range offsets %v, want %v", offs, wantOffs)
 		}
 	}
-	// Single-segment Flatten aliases, multi-segment does not.
-	one := Vec(bs, a)
-	if &one.Flatten()[0] != &a[0] {
-		t.Fatal("single-segment Flatten should alias")
+	// EachBlock walks blocks across segment boundaries, aliasing them.
+	var blockOffs []int
+	_ = v.EachBlock(func(off int, blk []byte) error {
+		if len(blk) != bs {
+			t.Fatalf("EachBlock block of %d bytes", len(blk))
+		}
+		blockOffs = append(blockOffs, off)
+		return nil
+	})
+	if fmt.Sprint(blockOffs) != "[0 1 2 3 4 5]" {
+		t.Fatalf("EachBlock offsets %v", blockOffs)
+	}
+	// VecOne of an empty buffer is the empty vec.
+	if e := VecOne(bs, nil); e.Len() != 0 || e.Segments() != 0 {
+		t.Fatalf("VecOne(nil): Len=%d Segments=%d", e.Len(), e.Segments())
 	}
 	// Malformed segments panic.
 	for _, bad := range [][]byte{nil, make([]byte, bs-1)} {
@@ -105,31 +125,55 @@ func TestBlockVecHelpers(t *testing.T) {
 	}()
 }
 
-// plainDevice hides the Range/Vec fast paths of an inner device, exercising
-// the generic per-block and per-segment fallbacks.
+// plainDevice serves every vec one block per inner call, the shape of
+// the per-block baselines (hive, defy).
 type plainDevice struct {
 	inner Device
 }
 
-func (d *plainDevice) ReadBlock(idx uint64, dst []byte) error  { return d.inner.ReadBlock(idx, dst) }
-func (d *plainDevice) WriteBlock(idx uint64, src []byte) error { return d.inner.WriteBlock(idx, src) }
-func (d *plainDevice) BlockSize() int                          { return d.inner.BlockSize() }
-func (d *plainDevice) NumBlocks() uint64                       { return d.inner.NumBlocks() }
-func (d *plainDevice) Sync() error                             { return d.inner.Sync() }
-func (d *plainDevice) Close() error                            { return d.inner.Close() }
+func (d *plainDevice) BlockSize() int               { return d.inner.BlockSize() }
+func (d *plainDevice) NumBlocks() uint64            { return d.inner.NumBlocks() }
+func (d *plainDevice) Discard(_, _, _ uint64) error { return nil }
+func (d *plainDevice) Sync(fid uint64) error        { return d.inner.Sync(fid) }
+func (d *plainDevice) Close() error                 { return d.inner.Close() }
+func (d *plainDevice) ReadVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, b []byte) error {
+		return d.inner.ReadVec(fid, start+uint64(i), VecOne(len(b), b))
+	})
+}
+func (d *plainDevice) WriteVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.EachBlock(func(i int, b []byte) error {
+		return d.inner.WriteVec(fid, start+uint64(i), VecOne(len(b), b))
+	})
+}
 
-// rangeOnlyDevice exposes range ops but not vec ops, exercising the
-// per-segment fallback ladder rung.
+// rangeOnlyDevice serves every vec one flat segment per inner call.
 type rangeOnlyDevice struct {
 	plainDevice
 }
 
-func (d *rangeOnlyDevice) ReadBlocks(start uint64, dst []byte) error {
-	return ReadBlocks(d.inner, start, dst)
+func (d *rangeOnlyDevice) ReadVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.Range(func(off int, seg []byte) error {
+		return d.inner.ReadVec(fid, start+uint64(off), VecOne(v.BlockSize(), seg))
+	})
 }
 
-func (d *rangeOnlyDevice) WriteBlocks(start uint64, src []byte) error {
-	return WriteBlocks(d.inner, start, src)
+func (d *rangeOnlyDevice) WriteVec(fid, start uint64, v BlockVec) error {
+	if err := CheckVec(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
+		return err
+	}
+	return v.Range(func(off int, seg []byte) error {
+		return d.inner.WriteVec(fid, start+uint64(off), VecOne(v.BlockSize(), seg))
+	})
 }
 
 // TestVecFlatEquivalenceRandomized drives every device implementation with
@@ -199,7 +243,7 @@ func TestVecFlatEquivalenceRandomized(t *testing.T) {
 				}
 				// Vec write to the device under test, flat write to the
 				// reference.
-				if err := WriteBlocksVec(dev, start, randomVecOver(src, bs, buf)); err != nil {
+				if err := dev.WriteVec(0, start, randomVecOver(src, bs, buf)); err != nil {
 					t.Fatalf("round %d: vec write: %v", r, err)
 				}
 				if err := WriteBlocks(ref, start, buf); err != nil {
@@ -212,7 +256,7 @@ func TestVecFlatEquivalenceRandomized(t *testing.T) {
 					rn = 24
 				}
 				got := make([]byte, int(rn)*bs)
-				if err := ReadBlocksVec(dev, rstart, randomVecOver(src, bs, got)); err != nil {
+				if err := dev.ReadVec(0, rstart, randomVecOver(src, bs, got)); err != nil {
 					t.Fatalf("round %d: vec read: %v", r, err)
 				}
 				want := make([]byte, len(got))
@@ -265,11 +309,11 @@ func TestSnapshotVecRead(t *testing.T) {
 		start := src.Uint64n(blocks)
 		n := 1 + src.Uint64n(blocks-start)
 		got := make([]byte, int(n)*bs)
-		if err := ReadBlocksVec(snap, start, randomVecOver(src, bs, got)); err != nil {
+		if err := snap.ReadVec(0, start, randomVecOver(src, bs, got)); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, len(got))
-		if err := snap.ReadBlocks(start, want); err != nil {
+		if err := ReadBlocks(snap, start, want); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -277,7 +321,7 @@ func TestSnapshotVecRead(t *testing.T) {
 		}
 	}
 	seg := make([]byte, bs)
-	if err := snap.WriteBlocksVec(0, Vec(bs, seg)); !errors.Is(err, ErrReadOnly) {
+	if err := snap.WriteVec(0, 0, Vec(bs, seg)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("snapshot vec write: %v, want ErrReadOnly", err)
 	}
 }
@@ -288,30 +332,30 @@ func TestVecGeometryErrors(t *testing.T) {
 	const bs, blocks = 128, 16
 	d := NewMemDevice(bs, blocks)
 	seg := make([]byte, 2*bs)
-	if err := WriteBlocksVec(d, blocks-1, Vec(bs, seg, seg)); !errors.Is(err, ErrOutOfRange) {
+	if err := d.WriteVec(0, blocks-1, Vec(bs, seg, seg)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overflow vec write: %v, want ErrOutOfRange", err)
 	}
-	if err := ReadBlocksVec(d, blocks, Vec(bs, seg, seg)); !errors.Is(err, ErrOutOfRange) {
+	if err := d.ReadVec(0, blocks, Vec(bs, seg, seg)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range vec read: %v, want ErrOutOfRange", err)
 	}
 	other := Vec(64, make([]byte, 64), make([]byte, 64))
-	if err := d.WriteBlocksVec(0, other); !errors.Is(err, ErrBadBuffer) {
+	if err := d.WriteVec(0, 0, other); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size vec: %v, want ErrBadBuffer", err)
 	}
 	// The single-segment fast path must enforce the same rule: a
 	// one-segment vec in the wrong block unit would silently transfer the
 	// wrong extent if it degraded to the flat path unchecked.
 	oneWrong := Vec(64, make([]byte, 2*bs))
-	if err := WriteBlocksVec(d, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
+	if err := d.WriteVec(0, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size single-segment vec write: %v, want ErrBadBuffer", err)
 	}
-	if err := ReadBlocksVec(d, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
+	if err := d.ReadVec(0, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size single-segment vec read: %v, want ErrBadBuffer", err)
 	}
-	if err := ReadBlocksVec(&plainDevice{inner: d}, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
+	if err := (&plainDevice{inner: d}).ReadVec(0, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size single-segment vec on plain device: %v, want ErrBadBuffer", err)
 	}
-	if err := WriteBlocksVec(d, blocks, Vec(bs)); err != nil {
+	if err := d.WriteVec(0, blocks, Vec(bs)); err != nil {
 		t.Fatalf("empty vec should be a no-op anywhere: %v", err)
 	}
 }
@@ -334,7 +378,7 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		// at or inside a segment.
 		v := Vec(bs, payload[:3*bs], payload[3*bs:7*bs], payload[7*bs:])
 		fd.FailWritesAfter(budget)
-		err := fd.WriteBlocksVec(2, v)
+		err := fd.WriteVec(0, 2, v)
 		if budget >= 10 {
 			if err != nil {
 				t.Fatalf("budget %d: unexpected error %v", budget, err)
@@ -367,63 +411,10 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		fd2 := NewFaultDevice(mem)
 		fd2.FailReadsAfter(budget)
 		rv := Vec(bs, make([]byte, 3*bs), make([]byte, 4*bs), make([]byte, 3*bs))
-		rerr := fd2.ReadBlocksVec(2, rv)
+		rerr := fd2.ReadVec(0, 2, rv)
 		if !errors.As(rerr, &pe) || pe.Done != budget {
 			t.Fatalf("read budget %d: error %v", budget, rerr)
 		}
-	}
-}
-
-// TestVecSegmentErrorRebasing pins the generic fallback's PartialError
-// accumulation: when a later segment of a multi-segment vec fails on a
-// non-vec device, the blocks transferred by earlier segments count into
-// Done.
-func TestVecSegmentErrorRebasing(t *testing.T) {
-	const bs, blocks = 128, 64
-	mem := NewMemDevice(bs, blocks)
-	fd := NewFaultDevice(mem)
-	// Hide the vec capability: the fallback issues one range op per
-	// segment against the FaultDevice.
-	dev := &rangeOnlyDevice{plainDevice{inner: fd}}
-	payload := make([]byte, 8*bs)
-	v := Vec(bs, payload[:4*bs], payload[4*bs:])
-	fd.FailWritesAfter(6)
-	err := WriteBlocksVec(dev, 0, v)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v, want PartialError", err)
-	}
-	// First segment's 4 blocks complete; second segment's budget dies
-	// after 2: Done must be 6, counted across the boundary.
-	if pe.Done != 6 {
-		t.Fatalf("Done=%d, want 6", pe.Done)
-	}
-
-	// A clean failure on a later segment (no partial report from the
-	// device — per-block fallbacks return plain errors) still becomes a
-	// PartialError carrying the earlier segments' blocks.
-	mem2 := NewMemDevice(bs, blocks)
-	fd2 := NewFaultDevice(mem2)
-	dev2 := &rangeOnlyDevice{plainDevice{inner: &plainDevice{inner: fd2}}}
-	fd2.FailWritesAfter(2)
-	err = WriteBlocksVec(dev2, 0, Vec(bs, payload[:2*bs], payload[2*bs:6*bs]))
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v, want PartialError", err)
-	}
-	if pe.Done != 2 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("Done=%d err=%v, want 2 wrapping ErrInjected", pe.Done, err)
-	}
-
-	// A vec that exceeds the device as a whole is rejected up front —
-	// validation, not partial completion.
-	small := NewMemDevice(bs, 4)
-	err = WriteBlocksVec(&rangeOnlyDevice{plainDevice{inner: small}}, 0,
-		Vec(bs, payload[:2*bs], payload[2*bs:6*bs]))
-	if errors.As(err, &pe) || !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("overflowing vec: %v, want plain ErrOutOfRange", err)
-	}
-	if small.WrittenBlocks() != 0 {
-		t.Fatal("rejected vec must have no partial effects")
 	}
 }
 
@@ -442,7 +433,7 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 		payload[i] = byte(i/bs) + 1 // nonzero: distinguishable from pre-image
 	}
 	v := Vec(bs, payload[:bs], payload[bs:4*bs], payload[4*bs:])
-	if err := cd.WriteBlocksVec(10, v); err != nil {
+	if err := cd.WriteVec(0, 10, v); err != nil {
 		t.Fatal(err)
 	}
 	if got := cd.InFlight(); got != 6 {
@@ -450,13 +441,13 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 	}
 	// Reads before the flush see the cache through the vec path too.
 	rv := make([]byte, 6*bs)
-	if err := cd.ReadBlocksVec(10, Vec(bs, rv[:2*bs], rv[2*bs:])); err != nil {
+	if err := cd.ReadVec(0, 10, Vec(bs, rv[:2*bs], rv[2*bs:])); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rv, payload) {
 		t.Fatal("vec read of cached blocks mismatch")
 	}
-	if err := cd.Sync(); err != nil {
+	if err := cd.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := cd.PersistedWrites(); got != 6 {
@@ -471,7 +462,7 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 		}
 		buf := make([]byte, bs)
 		for i := 0; i < 6; i++ {
-			if err := img.ReadBlock(10+uint64(i), buf); err != nil {
+			if err := ReadBlocks(img, 10+uint64(i), buf); err != nil {
 				t.Fatal(err)
 			}
 			wantWritten := i < n
@@ -490,14 +481,14 @@ func TestVecFallbackLadderDispatch(t *testing.T) {
 	mem := NewMemDevice(bs, blocks)
 	sd := NewStatsDevice(mem)
 	one := Vec(bs, make([]byte, 2*bs))
-	if err := WriteBlocksVec(sd, 0, one); err != nil {
+	if err := sd.WriteVec(0, 0, one); err != nil {
 		t.Fatal(err)
 	}
 	if got := sd.Stats().Writes; got != 2 {
 		t.Fatalf("stats writes=%d, want 2", got)
 	}
 	multi := Vec(bs, make([]byte, bs), make([]byte, bs))
-	if err := WriteBlocksVec(sd, 4, multi); err != nil {
+	if err := sd.WriteVec(0, 4, multi); err != nil {
 		t.Fatal(err)
 	}
 	if got := sd.Stats().Writes; got != 4 {

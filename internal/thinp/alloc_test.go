@@ -31,38 +31,38 @@ func TestThinOverwriteNoAllocs(t *testing.T) {
 	v := storage.Vec(4096, buf)
 	// Provision the blocks and materialize the MemDevice slabs so the
 	// measured loop is pure steady-state overwrite.
-	if err := thin.WriteBlocksVec(0, v); err != nil {
+	if err := thin.WriteVec(0, 0, v); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.WriteBlocksVec(0, v); err != nil {
+		if err := thin.WriteVec(0, 0, v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("overwrite WriteBlocksVec allocates %.1f/op, want 0", allocs)
+		t.Errorf("overwrite WriteVec allocates %.1f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.ReadBlocksVec(0, v); err != nil {
+		if err := thin.ReadVec(0, 0, v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ReadBlocksVec allocates %.1f/op, want 0", allocs)
+		t.Errorf("ReadVec allocates %.1f/op, want 0", allocs)
 	}
-	// The WriteBlock/ReadBlock convenience wrappers build their
+	// The WriteBlocks/ReadBlocks convenience wrappers build their
 	// single-segment vec inline; the small-vec keeps them free too.
 	one := make([]byte, 4096)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.WriteBlock(7, one); err != nil {
+		if err := storage.WriteBlocks(thin, 7, one); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("overwrite WriteBlock allocates %.1f/op, want 0", allocs)
+		t.Errorf("overwrite WriteBlocks allocates %.1f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.ReadBlock(7, one); err != nil {
+		if err := storage.ReadBlocks(thin, 7, one); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ReadBlock allocates %.1f/op, want 0", allocs)
+		t.Errorf("ReadBlocks allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -122,7 +122,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					return th.WriteBlock(vb%th.NumBlocks(), buf)
+					return storage.WriteBlocks(th, vb%th.NumBlocks(), buf)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -136,7 +136,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 						return err
 					}
 					start := vb % (th.NumBlocks() - uint64(n))
-					return th.WriteBlocks(start, buf)
+					return storage.WriteBlocks(th, start, buf)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -146,7 +146,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					return th.Discard(vb % th.NumBlocks())
+					return th.Discard(0, vb%th.NumBlocks(), 1)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -158,7 +158,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 						return err
 					}
 					start := vb % (th.NumBlocks() - n)
-					return th.DiscardRange(start, n)
+					return th.Discard(0, start, n)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -275,13 +275,13 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 		return th
 	}
 	one := make([]byte, blockSize)
-	if err := thin(1).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(1), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(2).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(2), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(3).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(3), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil { // structural rebuild: arena capacity == exact size
@@ -290,13 +290,13 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 	// Net-zero impure delta on thin 1 (forces the splice path with an
 	// early scratch cut) plus enough growth on thin 3 to outgrow the
 	// arena; thin 2 is untouched and must survive in place.
-	if err := thin(1).Discard(0); err != nil {
+	if err := thin(1).Discard(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(1).WriteBlocks(100, one); err != nil {
+	if err := storage.WriteBlocks(thin(1), 100, one); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(3).WriteBlocks(8, make([]byte, 600*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(3), 8, make([]byte, 600*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -304,7 +304,7 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 	}
 	// A later commit that shifts thin 2 and thin 3 writes their bytes out
 	// of the arena; if the regrow dropped them, this seals zeros to disk.
-	if err := thin(1).WriteBlocks(200, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(1), 200, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -352,7 +352,7 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4000*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4000*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -365,10 +365,10 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 	one := make([]byte, blockSize)
 	for i := 0; i < 8; i++ {
 		vb := uint64(100 + i*17)
-		if err := thin.Discard(vb); err != nil {
+		if err := thin.Discard(0, vb, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := thin.WriteBlocks(vb, one); err != nil {
+		if err := storage.WriteBlocks(thin, vb, one); err != nil {
 			t.Fatal(err)
 		}
 		metaStats.ResetStats()

@@ -34,7 +34,7 @@ func driveMutations(t *testing.T, p *Pool, seed int64) {
 		switch rng.Intn(4) {
 		case 0, 1:
 			rng.Read(buf)
-			if err := thin.WriteBlock(vb, buf); err != nil {
+			if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -44,11 +44,11 @@ func driveMutations(t *testing.T, p *Pool, seed int64) {
 			}
 			big := make([]byte, n*blockSize)
 			rng.Read(big)
-			if err := thin.WriteBlocks(vb, big); err != nil {
+			if err := storage.WriteBlocks(thin, vb, big); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
-			if err := thin.Discard(vb); err != nil {
+			if err := thin.Discard(0, vb, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,13 +185,13 @@ func TestIncrementalCommitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(8, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 8, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Commit(); err != nil {
@@ -226,7 +226,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Map 10k blocks and commit them.
-	if err := thin.WriteBlocks(0, make([]byte, 10000*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 10000*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -240,7 +240,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	fullWrites := metaStats.Stats().Writes
 	// Touch one already-mapped block (no metadata change) plus one fresh
 	// block, then commit incrementally.
-	if err := thin.WriteBlocks(10000, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 10000, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	metaStats.ResetStats()

@@ -21,11 +21,11 @@ type syncLatencyDevice struct {
 	delay time.Duration
 }
 
-func (d *syncLatencyDevice) Sync() error {
+func (d *syncLatencyDevice) Sync(fid uint64) error {
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
-	return d.Device.Sync()
+	return d.Device.Sync(fid)
 }
 
 // BenchmarkConcurrentWriters drives N goroutines that each perform a
@@ -83,11 +83,11 @@ func BenchmarkConcurrentWriters(b *testing.B) {
 							// Remap so every commit carries a delta: the
 							// overwrite of an established vblock is first
 							// discarded, making the write re-provision.
-							if err := thin.Discard(vb); err != nil {
+							if err := thin.Discard(0, vb, 1); err != nil {
 								b.Error(err)
 								return
 							}
-							if err := thin.WriteBlock(vb, buf); err != nil {
+							if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 								b.Error(err)
 								return
 							}

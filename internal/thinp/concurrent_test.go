@@ -31,14 +31,14 @@ func newGateDevice(inner storage.Device) *gateDevice {
 	}
 }
 
-func (d *gateDevice) Sync() error {
+func (d *gateDevice) Sync(fid uint64) error {
 	if d.armed.Load() {
 		d.once.Do(func() {
 			close(d.waiting)
 			<-d.gate
 		})
 	}
-	return d.Device.Sync()
+	return d.Device.Sync(fid)
 }
 
 // TestGroupCommitFolds pins the group-commit door's folding behavior
@@ -72,7 +72,7 @@ func TestGroupCommitFolds(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := thin.WriteBlock(vb, buf); err != nil {
+		if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 			t.Error(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestConcurrentPoolStress(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2:
 					rng.Read(buf)
-					if err := thin.WriteBlock(vb, buf); err != nil {
+					if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 						t.Error(err)
 						return
 					}
@@ -190,17 +190,17 @@ func TestConcurrentPoolStress(t *testing.T) {
 						vb = virt - 8
 					}
 					rng.Read(big)
-					if err := thin.WriteBlocks(vb, big); err != nil {
+					if err := storage.WriteBlocks(thin, vb, big); err != nil {
 						t.Error(err)
 						return
 					}
 				case 5, 6, 7:
-					if err := thin.ReadBlock(vb, buf); err != nil {
+					if err := storage.ReadBlocks(thin, vb, buf); err != nil {
 						t.Error(err)
 						return
 					}
 				case 8:
-					if err := thin.Discard(vb); err != nil {
+					if err := thin.Discard(0, vb, 1); err != nil {
 						t.Error(err)
 						return
 					}
@@ -303,7 +303,7 @@ func TestWriteDiscardReallocNoCrossThinCorruption(t *testing.T) {
 				return
 			default:
 			}
-			if err := thinA.WriteBlock(uint64(i%16), buf); err != nil {
+			if err := storage.WriteBlocks(thinA, uint64(i%16), buf); err != nil {
 				t.Error(err)
 				return
 			}
@@ -317,7 +317,7 @@ func TestWriteDiscardReallocNoCrossThinCorruption(t *testing.T) {
 				return
 			default:
 			}
-			if err := thinA.DiscardRange(0, 16); err != nil {
+			if err := thinA.Discard(0, 0, 16); err != nil {
 				t.Error(err)
 				return
 			}
@@ -348,17 +348,17 @@ func TestWriteDiscardReallocNoCrossThinCorruption(t *testing.T) {
 		for i := range pattern {
 			pattern[i] = byte(r + i)
 		}
-		if err := thinB.WriteBlock(vb, pattern); err != nil {
+		if err := storage.WriteBlocks(thinB, vb, pattern); err != nil {
 			t.Fatal(err)
 		}
-		if err := thinB.ReadBlock(vb, got); err != nil {
+		if err := storage.ReadBlocks(thinB, vb, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pattern, got) {
 			t.Fatalf("round %d: thin B block %d corrupted by cross-thin traffic", r, vb)
 		}
 		if r%32 == 31 {
-			if err := thinB.DiscardRange(0, 8); err != nil {
+			if err := thinB.Discard(0, 0, 8); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -387,7 +387,7 @@ func TestConcurrentReadersDoNotBlock(t *testing.T) {
 	}
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 128; i++ {
-		if err := w.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(w, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +403,7 @@ func TestConcurrentReadersDoNotBlock(t *testing.T) {
 			}
 			dst := make([]byte, blockSize)
 			for i := 0; i < 2000; i++ {
-				if err := thin.ReadBlock(uint64(i%512), dst); err != nil {
+				if err := storage.ReadBlocks(thin, uint64(i%512), dst); err != nil {
 					t.Error(err)
 					return
 				}
@@ -415,7 +415,7 @@ func TestConcurrentReadersDoNotBlock(t *testing.T) {
 		defer wg.Done()
 		src := make([]byte, blockSize)
 		for i := uint64(128); i < 384; i++ {
-			if err := w.WriteBlock(i, src); err != nil {
+			if err := storage.WriteBlocks(w, i, src); err != nil {
 				t.Error(err)
 				return
 			}

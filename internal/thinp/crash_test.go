@@ -92,7 +92,7 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8*blockSize)
-	if err := thin.WriteBlocks(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -106,13 +106,13 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 
 	// Commit 2: provisioning writes, an overwrite and a discard — an
 	// incremental delta.
-	if err := thin.WriteBlocks(32, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 32, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlock(0, buf[:blockSize]); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf[:blockSize]); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.Discard(3); err != nil {
+	if err := thin.Discard(0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -129,7 +129,7 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlocks(10, buf[:4*blockSize]); err != nil {
+	if err := storage.WriteBlocks(thin2, 10, buf[:4*blockSize]); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -178,7 +178,7 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -186,7 +186,7 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 	}
 	prevSnap := snapPool(p)
 	prevTx := p.TransactionID()
-	if err := thin.WriteBlocks(8, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 8, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -196,11 +196,11 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 
 	// Tear the freshly flipped superblock: flip a byte in its checksum.
 	super := make([]byte, blockSize)
-	if err := meta.ReadBlock(uint64(active), super); err != nil {
+	if err := storage.ReadBlocks(meta, uint64(active), super); err != nil {
 		t.Fatal(err)
 	}
 	super[superSelfSumOff] ^= 0xff
-	if err := meta.WriteBlock(uint64(active), super); err != nil {
+	if err := storage.WriteBlocks(meta, uint64(active), super); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +234,7 @@ func TestOpenPoolRejectsDoubleCorruption(t *testing.T) {
 		bad[i] = 0x5a
 	}
 	for slot := uint64(0); slot < superSlots; slot++ {
-		if err := meta.WriteBlock(slot, bad); err != nil {
+		if err := storage.WriteBlocks(meta, slot, bad); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,10 +272,10 @@ func TestFreedBlockQuarantineUntilCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the pool completely and commit.
-	if err := thin1.WriteBlock(0, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin1, 0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlocks(0, make([]byte, (dataBlocks-1)*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin2, 0, make([]byte, (dataBlocks-1)*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -283,17 +283,17 @@ func TestFreedBlockQuarantineUntilCommit(t *testing.T) {
 	}
 
 	// Free thin1's committed block: the space must NOT be reusable yet.
-	if err := thin1.Discard(0); err != nil {
+	if err := thin1.Discard(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlock(20, make([]byte, blockSize)); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin2, 20, make([]byte, blockSize)); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write reusing uncommitted free err = %v, want ErrNoSpace", err)
 	}
 	// After the commit records the free, the block is reusable.
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlock(20, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin2, 20, make([]byte, blockSize)); err != nil {
 		t.Fatalf("write after committed free: %v", err)
 	}
 	if err := p.CheckIntegrity(); err != nil {
@@ -303,10 +303,10 @@ func TestFreedBlockQuarantineUntilCommit(t *testing.T) {
 	// Same-transaction alloc+free is exempt: with the pool full again,
 	// discarding the block just written (uncommitted) frees it for
 	// immediate reuse.
-	if err := thin2.Discard(20); err != nil {
+	if err := thin2.Discard(0, 20, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlock(21, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin2, 21, make([]byte, blockSize)); err != nil {
 		t.Fatalf("reusing same-transaction free: %v", err)
 	}
 	if err := p.CheckIntegrity(); err != nil {

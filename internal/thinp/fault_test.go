@@ -28,17 +28,17 @@ func TestPoolSurvivesDataDeviceWriteFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	faulty.FailWritesAfter(0)
-	err = thin.WriteBlock(1, buf)
+	err = storage.WriteBlocks(thin, 1, buf)
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	// Recover and continue: the pool still works.
 	faulty.Disarm()
-	if err := thin.WriteBlock(2, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 2, buf); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	if err := p.Commit(); err != nil {
@@ -80,7 +80,7 @@ func TestPoolCommitPropagatesMetaFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.ReadBlock(0, buf); err != nil {
+	if err := storage.ReadBlocks(thin, 0, buf); err != nil {
 		t.Fatalf("read in read-only mode: %v", err)
 	}
 	// A reopen on the recovered device reloads the last durable state and
@@ -113,15 +113,15 @@ func TestThinReadFaultPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(5, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 5, buf); err != nil {
 		t.Fatal(err)
 	}
 	faulty.FailReadsAfter(0)
-	if err := thin.ReadBlock(5, buf); !errors.Is(err, storage.ErrInjected) {
+	if err := storage.ReadBlocks(thin, 5, buf); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("read err = %v, want ErrInjected", err)
 	}
 	// Unprovisioned reads never touch the device: they still succeed.
-	if err := thin.ReadBlock(50, buf); err != nil {
+	if err := storage.ReadBlocks(thin, 50, buf); err != nil {
 		t.Fatalf("unprovisioned read during device failure: %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestPoolConcurrentWriters(t *testing.T) {
 				buf[i] = byte(id)
 			}
 			for vb := uint64(0); vb < blocksPerWriter; vb++ {
-				if err := thin.WriteBlock(vb, buf); err != nil {
+				if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 					errCh <- err
 					return
 				}
@@ -185,7 +185,7 @@ func TestPoolConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		for vb := uint64(0); vb < blocksPerWriter; vb++ {
-			if err := thin.ReadBlock(vb, buf); err != nil {
+			if err := storage.ReadBlocks(thin, vb, buf); err != nil {
 				t.Fatal(err)
 			}
 			if buf[0] != byte(id) || buf[blockSize-1] != byte(id) {
@@ -234,12 +234,12 @@ func TestPoolDiscardWriteInterleavingAccounting(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		vb := src.Uint64n(256)
 		if src.Float64() < 0.6 {
-			if err := thin.WriteBlock(vb, buf); err != nil {
+			if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 				t.Fatal(err)
 			}
 			live[vb] = true
 		} else {
-			if err := thin.Discard(vb); err != nil {
+			if err := thin.Discard(0, vb, 1); err != nil {
 				t.Fatal(err)
 			}
 			delete(live, vb)
@@ -278,7 +278,7 @@ func TestCheckIntegrityDetectsDoubleOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckIntegrity(); err != nil {

@@ -1222,14 +1222,14 @@ func (p *Pool) writeSlot(slot int, nBlocks uint64, dirty *metaDirty, super []byt
 		return fmt.Errorf("thinp: writing metadata slot %d: %w", slot, err)
 	}
 	if wrote {
-		if err := p.meta.Sync(); err != nil {
+		if err := p.meta.Sync(0); err != nil {
 			return fmt.Errorf("thinp: syncing metadata image: %w", err)
 		}
 	}
-	if err := p.meta.WriteBlock(uint64(slot), super); err != nil {
+	if err := storage.WriteBlocks(p.meta, uint64(slot), super); err != nil {
 		return fmt.Errorf("thinp: writing metadata superblock %d: %w", slot, err)
 	}
-	if err := p.meta.Sync(); err != nil {
+	if err := p.meta.Sync(0); err != nil {
 		return fmt.Errorf("thinp: syncing metadata superblock: %w", err)
 	}
 	return nil
@@ -1325,7 +1325,7 @@ func (p *Pool) load() error {
 	}
 	buf := make([]byte, bs)
 	for slot := 0; slot < superSlots; slot++ {
-		if err := p.meta.ReadBlock(uint64(slot), buf); err != nil {
+		if err := storage.ReadBlocks(p.meta, uint64(slot), buf); err != nil {
 			return fmt.Errorf("thinp: reading superblock %d: %w", slot, err)
 		}
 		if allZero(buf) {

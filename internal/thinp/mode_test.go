@@ -39,7 +39,7 @@ func TestModeOutOfDataSpaceAndSameTxRecovery(t *testing.T) {
 	p, thin := tinyPool(t, 8, 16, Options{})
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 8; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatalf("fill write %d: %v", i, err)
 		}
 	}
@@ -47,17 +47,17 @@ func TestModeOutOfDataSpaceAndSameTxRecovery(t *testing.T) {
 		t.Fatalf("mode while full but unprovoked = %v", m)
 	}
 	// Default NoSpaceTimeout (0) fails fast with ErrNoSpace and latches OODS.
-	if err := thin.WriteBlock(8, buf); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin, 8, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overcommit write err = %v, want ErrNoSpace", err)
 	}
 	if m, reason := p.Status(); m != PoolOutOfDataSpace || reason == "" {
 		t.Fatalf("mode = %v (%q), want out-of-data-space", m, reason)
 	}
 	// Overwrites of provisioned blocks and reads proceed in OODS.
-	if err := thin.WriteBlock(3, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 3, buf); err != nil {
 		t.Fatalf("overwrite in OODS: %v", err)
 	}
-	if err := thin.ReadBlock(3, buf); err != nil {
+	if err := storage.ReadBlocks(thin, 3, buf); err != nil {
 		t.Fatalf("read in OODS: %v", err)
 	}
 	// Commits too — that is how reclaim becomes durable.
@@ -67,7 +67,7 @@ func TestModeOutOfDataSpaceAndSameTxRecovery(t *testing.T) {
 	// Blocks freed within the current transaction recover the pool... but
 	// the commit above made the allocations durable, so this discard
 	// quarantines and recovery waits for the next commit.
-	if err := thin.Discard(0); err != nil {
+	if err := thin.Discard(0, 0, 1); err != nil {
 		t.Fatalf("discard: %v", err)
 	}
 	if m := p.Mode(); m != PoolOutOfDataSpace {
@@ -79,7 +79,7 @@ func TestModeOutOfDataSpaceAndSameTxRecovery(t *testing.T) {
 	if m := p.Mode(); m != PoolWrite {
 		t.Fatalf("mode after quarantine release = %v, want write", m)
 	}
-	if err := thin.WriteBlock(8, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 8, buf); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -91,20 +91,20 @@ func TestModeSameTransactionDiscardRecovers(t *testing.T) {
 	p, thin := tinyPool(t, 4, 8, Options{})
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := thin.WriteBlock(4, buf); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin, 4, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overcommit err = %v", err)
 	}
-	if err := thin.Discard(1); err != nil {
+	if err := thin.Discard(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Mode(); m != PoolWrite {
 		t.Fatalf("mode after same-tx free = %v, want write (no commit needed)", m)
 	}
-	if err := thin.WriteBlock(4, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 4, buf); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -116,15 +116,15 @@ func TestNoSpaceTimeoutQueuesWriter(t *testing.T) {
 	p, thin := tinyPool(t, 4, 8, Options{NoSpaceTimeout: 5 * time.Second})
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- thin.WriteBlock(5, buf) }()
+	go func() { done <- storage.WriteBlocks(thin, 5, buf) }()
 	// Give the writer time to park, then reclaim.
 	time.Sleep(20 * time.Millisecond)
-	if err := thin.Discard(0); err != nil {
+	if err := thin.Discard(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -147,12 +147,12 @@ func TestNoSpaceTimeoutExpiry(t *testing.T) {
 	p, thin := tinyPool(t, 4, 8, Options{NoSpaceTimeout: 30 * time.Millisecond})
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t0 := time.Now()
-	if err := thin.WriteBlock(5, buf); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin, 5, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("queued write err = %v, want ErrNoSpace", err)
 	}
 	if time.Since(t0) < 30*time.Millisecond {
@@ -160,17 +160,17 @@ func TestNoSpaceTimeoutExpiry(t *testing.T) {
 	}
 	// Fail-fast is latched: the next writer does not wait the timeout out.
 	t0 = time.Now()
-	if err := thin.WriteBlock(6, buf); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin, 6, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("post-expiry write err = %v", err)
 	}
 	if time.Since(t0) > 20*time.Millisecond {
 		t.Fatal("post-expiry write queued again instead of failing fast")
 	}
 	// Reclaim clears the latch and write mode resumes.
-	if err := thin.Discard(2); err != nil {
+	if err := thin.Discard(0, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlock(5, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 5, buf); err != nil {
 		t.Fatalf("write after reclaim: %v", err)
 	}
 	if m := p.Mode(); m != PoolWrite {
@@ -196,7 +196,7 @@ func TestModeTransientMetaFaultAbsorbedByCommitRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlock(0, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	// Fault the very next metadata write op, transient class.
@@ -209,7 +209,7 @@ func TestModeTransientMetaFaultAbsorbedByCommitRetry(t *testing.T) {
 	}
 	// A transient sync hiccup is absorbed the same way.
 	flaky.FailOpAt(storage.FlakySync, flaky.OpCount(storage.FlakySync), storage.ErrTransient)
-	if err := thin.WriteBlock(1, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 1, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -226,19 +226,19 @@ func TestModeTransientMetaFaultAbsorbedByCommitRetry(t *testing.T) {
 func TestModeFailStopsEverything(t *testing.T) {
 	p, thin := tinyPool(t, 8, 16, Options{})
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
 	p.setModeLocked(PoolFail, "forced by test")
 	p.mu.Unlock()
-	if err := thin.ReadBlock(0, buf); !errors.Is(err, ErrPoolFail) {
+	if err := storage.ReadBlocks(thin, 0, buf); !errors.Is(err, ErrPoolFail) {
 		t.Fatalf("read err = %v, want ErrPoolFail", err)
 	}
-	if err := thin.WriteBlock(1, buf); !errors.Is(err, ErrPoolFail) {
+	if err := storage.WriteBlocks(thin, 1, buf); !errors.Is(err, ErrPoolFail) {
 		t.Fatalf("write err = %v", err)
 	}
-	if err := thin.Discard(0); !errors.Is(err, ErrPoolFail) {
+	if err := thin.Discard(0, 0, 1); !errors.Is(err, ErrPoolFail) {
 		t.Fatalf("discard err = %v", err)
 	}
 	if err := p.Commit(); !errors.Is(err, ErrPoolFail) {

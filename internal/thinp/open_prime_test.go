@@ -30,7 +30,7 @@ func TestOpenPrimesInactiveSlotPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(7, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 7, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -51,7 +51,7 @@ func TestOpenPrimesInactiveSlotPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlock(11, buf); err != nil {
+	if err := storage.WriteBlocks(thin2, 11, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p2.Commit(); err != nil {

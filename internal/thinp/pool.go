@@ -511,7 +511,7 @@ func CreatePool(data, meta storage.Device, opts Options) (*Pool, error) {
 	// an older pool, or random fill — must not survive as a plausible slot.
 	zero := make([]byte, meta.BlockSize())
 	for slot := 0; slot < superSlots; slot++ {
-		if err := meta.WriteBlock(uint64(slot), zero); err != nil {
+		if err := storage.WriteBlocks(meta, uint64(slot), zero); err != nil {
 			return nil, fmt.Errorf("thinp: clearing superblock %d: %w", slot, err)
 		}
 	}
@@ -949,7 +949,7 @@ func (p *Pool) execDummy(target, count int) error {
 			// the staging optimization.
 			p.opts.Meter.ChargeCrypto(len(noise))
 		}
-		werr := storage.WriteBlockFlight(p.data, bfid, pb, noise)
+		werr := p.data.WriteVec(bfid, pb, storage.VecOne(p.data.BlockSize(), noise))
 		if staged {
 			// The device copied (or rejected) the payload; the buffer goes
 			// back for the next refill to overwrite.

@@ -42,11 +42,11 @@ func TestPoolCreateThinAndRoundtrip(t *testing.T) {
 		t.Fatalf("geometry: %d blocks of %d", thin.NumBlocks(), thin.BlockSize())
 	}
 	src := bytes.Repeat([]byte{0xAA}, blockSize)
-	if err := thin.WriteBlock(10, src); err != nil {
+	if err := storage.WriteBlocks(thin, 10, src); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := thin.ReadBlock(10, got); err != nil {
+	if err := storage.ReadBlocks(thin, 10, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, got) {
@@ -64,7 +64,7 @@ func TestThinUnprovisionedReadsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := bytes.Repeat([]byte{0xFF}, blockSize)
-	if err := thin.ReadBlock(5, got); err != nil {
+	if err := storage.ReadBlocks(thin, 5, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range got {
@@ -87,13 +87,13 @@ func TestThinProvisionOnFirstWriteOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(3, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 3, buf); err != nil {
 		t.Fatal(err)
 	}
 	if p.AllocatedBlocks() != 1 {
 		t.Fatalf("allocated = %d after first write", p.AllocatedBlocks())
 	}
-	if err := thin.WriteBlock(3, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 3, buf); err != nil {
 		t.Fatal(err)
 	}
 	if p.AllocatedBlocks() != 1 {
@@ -137,11 +137,11 @@ func TestPoolOutOfSpace(t *testing.T) {
 	}
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := thin.WriteBlock(50, buf); !errors.Is(err, ErrNoSpace) {
+	if err := storage.WriteBlocks(thin, 50, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 }
@@ -162,13 +162,13 @@ func TestThinDeviceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(8, buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.WriteBlocks(thin, 8, buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out-of-range write err = %v", err)
 	}
-	if err := thin.ReadBlock(8, buf); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(thin, 8, buf); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out-of-range read err = %v", err)
 	}
-	if err := thin.WriteBlock(0, buf[:10]); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(thin, 0, buf[:10]); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("bad buffer err = %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestDeleteThinFreesBlocks(t *testing.T) {
 	}
 	buf := make([]byte, blockSize)
 	for i := uint64(0); i < 5; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
+		if err := storage.WriteBlocks(thin, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,17 +212,17 @@ func TestDiscardFreesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := bytes.Repeat([]byte{1}, blockSize)
-	if err := thin.WriteBlock(2, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 2, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.Discard(2); err != nil {
+	if err := thin.Discard(0, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if p.AllocatedBlocks() != 0 {
 		t.Fatalf("allocated = %d after discard", p.AllocatedBlocks())
 	}
 	// Discarded block reads zero again.
-	if err := thin.ReadBlock(2, buf); err != nil {
+	if err := storage.ReadBlocks(thin, 2, buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range buf {
@@ -231,7 +231,7 @@ func TestDiscardFreesBlock(t *testing.T) {
 		}
 	}
 	// Discard of unprovisioned block is a no-op.
-	if err := thin.Discard(3); err != nil {
+	if err := thin.Discard(0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,7 +249,7 @@ func TestPoolPersistenceRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := bytes.Repeat([]byte{0x5C}, blockSize)
-	if err := thin.WriteBlock(9, src); err != nil {
+	if err := storage.WriteBlocks(thin, 9, src); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -269,7 +269,7 @@ func TestPoolPersistenceRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := thin2.ReadBlock(9, got); err != nil {
+	if err := storage.ReadBlocks(thin2, 9, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, got) {
@@ -293,7 +293,7 @@ func TestPoolUncommittedAllocationsLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if p.PendingAllocations() != 1 {
@@ -320,7 +320,7 @@ func TestPoolCommitClearsTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	tx := p.TransactionID()
@@ -345,10 +345,10 @@ func TestThinSyncCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := bytes.Repeat([]byte{0x33}, blockSize)
-	if err := thin.WriteBlock(4, src); err != nil {
+	if err := storage.WriteBlocks(thin, 4, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.Sync(); err != nil {
+	if err := thin.Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := OpenPool(data, meta, Options{Entropy: prng.NewSeededEntropy(3)})
@@ -360,7 +360,7 @@ func TestThinSyncCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := thin2.ReadBlock(4, got); err != nil {
+	if err := storage.ReadBlocks(thin2, 4, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, got) {
@@ -426,7 +426,7 @@ func TestDummyPolicyFiresOnProvision(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	// 1 public block + 3 dummy blocks allocated.
@@ -453,7 +453,7 @@ func TestDummyPolicyFiresOnProvision(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockSize)
-	if err := dummyThin.ReadBlock(vbs[0], got); err != nil {
+	if err := storage.ReadBlocks(dummyThin, vbs[0], got); err != nil {
 		t.Fatal(err)
 	}
 	var or byte
@@ -481,12 +481,12 @@ func TestDummyPolicyNotFiredOnOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	first := p.DummyBlocksWritten()
 	for i := 0; i < 10; i++ {
-		if err := thin.WriteBlock(0, buf); err != nil {
+		if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,7 +511,7 @@ func TestDummyWriteBestEffortWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, blockSize)
-	if err := thin.WriteBlock(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	// 1 public + at most 1 dummy block; no error.
@@ -543,7 +543,7 @@ func TestPropertyNoDoubleAllocation(t *testing.T) {
 			if _, err := src.Read(buf); err != nil {
 				return false
 			}
-			if err := thin.WriteBlock(vb, buf); err != nil && !errors.Is(err, ErrNoSpace) {
+			if err := storage.WriteBlocks(thin, vb, buf); err != nil && !errors.Is(err, ErrNoSpace) {
 				return false
 			}
 		}
@@ -619,7 +619,7 @@ func TestPropertyPersistenceRoundtrip(t *testing.T) {
 			for i := range buf {
 				buf[i] = fill
 			}
-			if err := thin.WriteBlock(vb, buf); err != nil {
+			if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 				return false
 			}
 			content[vb] = fill
@@ -637,7 +637,7 @@ func TestPropertyPersistenceRoundtrip(t *testing.T) {
 		}
 		got := make([]byte, blockSize)
 		for vb, fill := range content {
-			if err := thin2.ReadBlock(vb, got); err != nil {
+			if err := storage.ReadBlocks(thin2, vb, got); err != nil {
 				return false
 			}
 			for _, b := range got {
@@ -691,7 +691,7 @@ func benchThinWrite(b *testing.B, alloc Allocator) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := thin.WriteBlock(uint64(i)%(1<<16), buf); err != nil {
+		if err := storage.WriteBlocks(thin, uint64(i)%(1<<16), buf); err != nil {
 			b.Fatal(err)
 		}
 	}

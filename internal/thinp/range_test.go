@@ -86,23 +86,23 @@ func TestRangeMatchesBlockwiseThin(t *testing.T) {
 					rng.Read(buf)
 					// Per-block on pool A...
 					for j := uint64(0); j < n; j++ {
-						if err := ta.WriteBlock(start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("WriteBlock: %v", err)
+						if err := storage.WriteBlocks(ta, start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
+							t.Fatalf("WriteBlocks: %v", err)
 						}
 					}
 					// ...vectored on pool B.
-					if err := tb.WriteBlocks(start, buf); err != nil {
+					if err := storage.WriteBlocks(tb, start, buf); err != nil {
 						t.Fatalf("WriteBlocks: %v", err)
 					}
 				} else {
 					gotA := make([]byte, n*blockSize)
 					for j := uint64(0); j < n; j++ {
-						if err := ta.ReadBlock(start+j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("ReadBlock: %v", err)
+						if err := storage.ReadBlocks(ta, start+j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
+							t.Fatalf("ReadBlocks: %v", err)
 						}
 					}
 					gotB := make([]byte, n*blockSize)
-					if err := tb.ReadBlocks(start, gotB); err != nil {
+					if err := storage.ReadBlocks(tb, start, gotB); err != nil {
 						t.Fatalf("ReadBlocks: %v", err)
 					}
 					if !bytes.Equal(gotA, gotB) {
@@ -143,11 +143,11 @@ func TestRangeMatchesBlockwiseThin(t *testing.T) {
 			gotA := make([]byte, full)
 			gotB := make([]byte, full)
 			for j := uint64(0); j < virt; j++ {
-				if err := ta.ReadBlock(j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
+				if err := storage.ReadBlocks(ta, j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := tb.ReadBlocks(0, gotB); err != nil {
+			if err := storage.ReadBlocks(tb, 0, gotB); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotA, gotB) {
@@ -166,13 +166,13 @@ func TestThinRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, blockSize+1)); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, blockSize+1)); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("misaligned err = %v, want ErrBadBuffer", err)
 	}
-	if err := thin.ReadBlocks(14, make([]byte, 3*blockSize)); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(thin, 14, make([]byte, 3*blockSize)); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("overrun err = %v, want ErrOutOfRange", err)
 	}
-	if err := thin.WriteBlocks(0, nil); err != nil {
+	if err := storage.WriteBlocks(thin, 0, nil); err != nil {
 		t.Fatalf("zero-length write: %v", err)
 	}
 	if p.AllocatedBlocks() != 0 {
@@ -198,7 +198,7 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.FailWritesAfter(4)
-	err = thin.WriteBlocks(0, bytes.Repeat([]byte{0xCD}, 16*blockSize))
+	err = storage.WriteBlocks(thin, 0, bytes.Repeat([]byte{0xCD}, 16*blockSize))
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -214,7 +214,7 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 	}
 	fd.Disarm()
 	readBack := make([]byte, 16*blockSize)
-	if err := thin.ReadBlocks(0, readBack); err != nil {
+	if err := storage.ReadBlocks(thin, 0, readBack); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range readBack {
@@ -227,10 +227,10 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 		}
 	}
 	// The volume remains usable after the fault clears.
-	if err := thin.WriteBlocks(0, make([]byte, 16*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 16*blockSize)); err != nil {
 		t.Fatalf("write after disarm: %v", err)
 	}
-	if err := thin.ReadBlocks(0, make([]byte, 16*blockSize)); err != nil {
+	if err := storage.ReadBlocks(thin, 0, make([]byte, 16*blockSize)); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestBatchProvisionIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 256*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 256*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckIntegrity(); err != nil {
@@ -274,7 +274,7 @@ func TestBatchProvisionIntegrity(t *testing.T) {
 	}
 	// Overwriting the same range provisions nothing and fires nothing.
 	before := p.DummyBlocksWritten()
-	if err := thin.WriteBlocks(0, make([]byte, 256*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 256*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if p.DummyBlocksWritten() != before {
@@ -308,7 +308,7 @@ func TestProvisionUnwindOnDummyFailure(t *testing.T) {
 	}
 	fd.FailWritesAfter(0) // the very first write — the dummy noise — fails
 	src := bytes.Repeat([]byte{0xAB}, blockSize)
-	if err := thin.WriteBlock(5, src); err == nil {
+	if err := storage.WriteBlocks(thin, 5, src); err == nil {
 		t.Fatal("write with failing dummy noise succeeded")
 	}
 	if err := p.CheckIntegrity(); err != nil {
@@ -319,7 +319,7 @@ func TestProvisionUnwindOnDummyFailure(t *testing.T) {
 	}
 	fd.Disarm()
 	got := make([]byte, blockSize)
-	if err := thin.ReadBlock(5, got); err != nil {
+	if err := storage.ReadBlocks(thin, 5, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range got {
@@ -338,7 +338,7 @@ func TestDeleteThinClearsPendingAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.PendingAllocations(); got != 8 {
@@ -358,9 +358,10 @@ func TestDeleteThinClearsPendingAllocations(t *testing.T) {
 	}
 }
 
-// TestDiscardRange exercises the vectored TRIM path: a run-length discard
-// over a mix of mapped and unmapped blocks frees exactly the mapped ones.
-func TestDiscardRange(t *testing.T) {
+// TestThinDiscardRun exercises the vectored TRIM path: a run-length
+// discard over a mix of mapped and unmapped blocks frees exactly the
+// mapped ones.
+func TestThinDiscardRun(t *testing.T) {
 	data := storage.NewMemDevice(blockSize, 256)
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(256, blockSize))
 	p, err := CreatePool(data, meta, Options{Entropy: prng.NewSeededEntropy(12)})
@@ -375,14 +376,14 @@ func TestDiscardRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Map blocks 0..15 and 32..39, leaving a hole in between.
-	if err := thin.WriteBlocks(0, bytes.Repeat([]byte{0xAB}, 16*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, bytes.Repeat([]byte{0xAB}, 16*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(32, bytes.Repeat([]byte{0xAB}, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 32, bytes.Repeat([]byte{0xAB}, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	// Discard [8, 36): 8 mapped + 16 holes + 4 mapped.
-	if err := thin.DiscardRange(8, 28); err != nil {
+	if err := thin.Discard(0, 8, 28); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := p.MappedBlocks(1)
@@ -401,7 +402,7 @@ func TestDiscardRange(t *testing.T) {
 	// Discarded blocks read back as zeros; surviving blocks keep data.
 	buf := make([]byte, blockSize)
 	for _, vb := range []uint64{8, 15, 35} {
-		if err := thin.ReadBlock(vb, buf); err != nil {
+		if err := storage.ReadBlocks(thin, vb, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 0 {
@@ -409,7 +410,7 @@ func TestDiscardRange(t *testing.T) {
 		}
 	}
 	for _, vb := range []uint64{0, 7, 36, 39} {
-		if err := thin.ReadBlock(vb, buf); err != nil {
+		if err := storage.ReadBlocks(thin, vb, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 0xAB {
@@ -417,10 +418,10 @@ func TestDiscardRange(t *testing.T) {
 		}
 	}
 	// Out-of-range and empty ranges behave like the read/write range ops.
-	if err := thin.DiscardRange(120, 16); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := thin.Discard(0, 120, 16); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("overrun discard err = %v, want ErrOutOfRange", err)
 	}
-	if err := thin.DiscardRange(0, 0); err != nil {
+	if err := thin.Discard(0, 0, 0); err != nil {
 		t.Fatalf("empty discard: %v", err)
 	}
 	// Round-trip: the discarded state survives commit and reload.

@@ -54,7 +54,7 @@ func TestReplaceBlockReallocates(t *testing.T) {
 
 	a := bytes.Repeat([]byte{0xaa}, blockSize)
 	b := bytes.Repeat([]byte{0xbb}, blockSize)
-	if err := thin.WriteBlock(5, a); err != nil {
+	if err := storage.WriteBlocks(thin, 5, a); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -65,7 +65,7 @@ func TestReplaceBlockReallocates(t *testing.T) {
 		t.Fatal("vb 5 unmapped after write")
 	}
 
-	if err := thin.ReplaceBlock(5, b); err != nil {
+	if err := thin.ReplaceBlock(0, 5, b); err != nil {
 		t.Fatalf("ReplaceBlock: %v", err)
 	}
 	pb1, ok := mappedPB(t, p, 1, 5)
@@ -76,7 +76,7 @@ func TestReplaceBlockReallocates(t *testing.T) {
 		t.Fatalf("replace reused physical block %d; want a fresh placement", pb0)
 	}
 	got := make([]byte, blockSize)
-	if err := thin.ReadBlock(5, got); err != nil {
+	if err := storage.ReadBlocks(thin, 5, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, b) {
@@ -87,18 +87,18 @@ func TestReplaceBlockReallocates(t *testing.T) {
 	if _, ok := mappedPB(t, p, 1, 9); ok {
 		t.Fatal("vb 9 unexpectedly mapped")
 	}
-	if err := thin.ReplaceBlock(9, a); err != nil {
+	if err := thin.ReplaceBlock(0, 9, a); err != nil {
 		t.Fatalf("ReplaceBlock(unmapped): %v", err)
 	}
 	if _, ok := mappedPB(t, p, 1, 9); !ok {
 		t.Fatal("vb 9 unmapped after replace")
 	}
 
-	// Validation mirrors WriteBlock.
-	if err := thin.ReplaceBlock(5, a[:8]); !errors.Is(err, storage.ErrBadBuffer) {
+	// Validation mirrors WriteBlocks.
+	if err := thin.ReplaceBlock(0, 5, a[:8]); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("short buffer: got %v, want ErrBadBuffer", err)
 	}
-	if err := thin.ReplaceBlock(virt, a); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := thin.ReplaceBlock(0, virt, a); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out of range: got %v, want ErrOutOfRange", err)
 	}
 
@@ -124,7 +124,7 @@ func TestReplaceBlockReallocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rthin.ReadBlock(5, got); err != nil {
+	if err := storage.ReadBlocks(rthin, 5, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, b) {

@@ -36,7 +36,7 @@ func (p *everyNthPolicy) OnProvision(int) (int, int, bool) {
 func deviceImage(t *testing.T, dev *storage.MemDevice) []byte {
 	t.Helper()
 	buf := make([]byte, int(dev.NumBlocks())*dev.BlockSize())
-	if err := dev.ReadBlocks(0, buf); err != nil {
+	if err := storage.ReadBlocks(dev, 0, buf); err != nil {
 		t.Fatalf("reading device image: %v", err)
 	}
 	return buf
@@ -130,7 +130,7 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 			switch o.kind {
 			case 0:
 				buf[0], buf[1] = byte(i), byte(o.thin)
-				if err := r.thins[o.thin].WriteBlock(o.vb, buf); err != nil {
+				if err := storage.WriteBlocks(r.thins[o.thin], o.vb, buf); err != nil {
 					t.Fatalf("op %d: write thin %d vb %d: %v", i, o.thin, o.vb, err)
 				}
 			case 1:
@@ -138,12 +138,12 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 				if o.vb+count > virt {
 					count = virt - o.vb
 				}
-				if err := r.thins[o.thin].DiscardRange(o.vb, count); err != nil {
+				if err := r.thins[o.thin].Discard(0, o.vb, count); err != nil {
 					t.Fatalf("op %d: discard thin %d [%d,%d): %v", i, o.thin, o.vb, o.vb+count, err)
 				}
 			case 3:
 				buf[0], buf[1] = byte(i), byte(o.thin)
-				if err := r.thins[o.thin].ReplaceBlock(o.vb, buf); err != nil {
+				if err := r.thins[o.thin].ReplaceBlock(0, o.vb, buf); err != nil {
 					t.Fatalf("op %d: replace thin %d vb %d: %v", i, o.thin, o.vb, err)
 				}
 			case 2:
@@ -239,7 +239,7 @@ func TestShardedPickerUniformity(t *testing.T) {
 			buf := make([]byte, blockSize)
 			for i := 0; i < perWriter; i++ {
 				buf[0] = byte(i)
-				if err := th.WriteBlock(uint64(i), buf); err != nil {
+				if err := storage.WriteBlocks(th, uint64(i), buf); err != nil {
 					errs <- err
 					return
 				}
@@ -396,7 +396,7 @@ func TestShardedTwinPoolDeniability(t *testing.T) {
 		buf := make([]byte, blockSize)
 		for i := 0; i < n; i++ {
 			buf[0] = byte(i)
-			if err := thin.WriteBlock(uint64(i), buf); err != nil {
+			if err := storage.WriteBlocks(thin, uint64(i), buf); err != nil {
 				t.Fatalf("thin %d write %d: %v", thinID, i, err)
 			}
 		}
@@ -484,10 +484,10 @@ func TestCheckConsistencySharded(t *testing.T) {
 				for i := 0; i < 128; i++ {
 					vb := uint64(rng.Intn(256))
 					if rng.Intn(4) == 0 {
-						err = th.Discard(vb)
+						err = th.Discard(0, vb, 1)
 					} else {
 						buf[0] = byte(i)
-						err = th.WriteBlock(vb, buf)
+						err = storage.WriteBlocks(th, vb, buf)
 					}
 					if err != nil {
 						errs <- err

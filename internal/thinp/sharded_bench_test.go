@@ -11,26 +11,6 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// blockReplacer matches the reallocate-on-write entry point. The benchmark
-// file also drops unchanged into the pre-PR tree (for the A/B baseline in
-// BENCH_PR8.json), where the same logical rewrite is the two-call
-// discard + write sequence — the assertion picks whichever the tree has.
-type blockReplacer interface {
-	ReplaceBlock(idx uint64, src []byte) error
-}
-
-// reallocWrite re-provisions vb with fresh payload: one ReplaceBlock where
-// available, discard + write otherwise.
-func reallocWrite(thin *Thin, vb uint64, buf []byte) error {
-	if r, ok := any(thin).(blockReplacer); ok {
-		return r.ReplaceBlock(vb, buf)
-	}
-	if err := thin.Discard(vb); err != nil {
-		return err
-	}
-	return thin.WriteBlock(vb, buf)
-}
-
 // BenchmarkShardedWriters is the PR 8 scaling sweep: N goroutines in a
 // commit-per-write loop where every op re-provisions its vblock (a
 // reallocate-on-write against the RANDOM allocator — the MobiCeal
@@ -41,11 +21,7 @@ func reallocWrite(thin *Thin, vb uint64, buf []byte) error {
 // block and frees one — rather than first-touch growth of the metadata
 // image. The sweep crosses writer counts with GOMAXPROCS 1 and 4: at one
 // proc the sharded locks can only add overhead (the regression guard), at
-// four they are the whole point. The benchmark deliberately uses only the
-// long-stable pool API (CreatePool/CreateThin/WriteBlock/Commit/
-// CommitStats) plus the duck-typed reallocWrite above, so the same file
-// drops into the pre-PR tree for the A/B pair committed in BENCH_PR8.json
-// (cmd/experiments/bench_pr8.sh automates that).
+// four they are the whole point.
 func BenchmarkShardedWriters(b *testing.B) {
 	const (
 		virt       = 1024
@@ -75,7 +51,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := thin.WriteBlocks(0, init); err != nil {
+					if err := storage.WriteBlocks(thin, 0, init); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -102,7 +78,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 						for next.Add(1) <= int64(b.N) {
 							vb := i % virt
 							i++
-							if err := reallocWrite(thin, vb, buf); err != nil {
+							if err := thin.ReplaceBlock(0, vb, buf); err != nil {
 								b.Error(err)
 								return
 							}

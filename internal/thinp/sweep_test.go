@@ -90,7 +90,7 @@ func runSweepWorkload(t *testing.T, data, meta storage.Device, arm func()) *swee
 			buf[i] = fill
 		}
 		_, mapped := live[vb]
-		if err := thin.WriteBlock(vb, buf); err != nil {
+		if err := storage.WriteBlocks(thin, vb, buf); err != nil {
 			r.err = err
 			return false
 		}
@@ -109,7 +109,7 @@ func runSweepWorkload(t *testing.T, data, meta storage.Device, arm func()) *swee
 		return true
 	}
 	discard := func(vb uint64) bool {
-		if err := thin.Discard(vb); err != nil {
+		if err := thin.Discard(0, vb, 1); err != nil {
 			r.err = err
 			return false
 		}
@@ -205,7 +205,7 @@ func verifyCommittedState(t *testing.T, label string, data, meta storage.Device,
 		actual = sweepModel{}
 		got := make([]byte, blockSize)
 		for vb := uint64(0); vb < sweepVirt; vb++ {
-			if err := thin.ReadBlock(vb, got); err != nil {
+			if err := storage.ReadBlocks(thin, vb, got); err != nil {
 				t.Fatalf("%s: read vblock %d: %v", label, vb, err)
 			}
 			fill := got[0]
@@ -299,10 +299,10 @@ func TestFaultSweepMetaDevice(t *testing.T) {
 					t.Fatalf("%s: mode = %v (%q), want read-only", label, m, reason)
 				}
 				// Mutations hard-fail, reads keep serving.
-				if err := r.thin.WriteBlock(20, make([]byte, blockSize)); !errors.Is(err, ErrReadOnlyMode) {
+				if err := storage.WriteBlocks(r.thin, 20, make([]byte, blockSize)); !errors.Is(err, ErrReadOnlyMode) {
 					t.Fatalf("%s: write in read-only = %v", label, err)
 				}
-				if err := r.thin.ReadBlock(2, make([]byte, blockSize)); err != nil {
+				if err := storage.ReadBlocks(r.thin, 2, make([]byte, blockSize)); err != nil {
 					t.Fatalf("%s: read in read-only: %v", label, err)
 				}
 			}
@@ -364,7 +364,7 @@ func TestFaultSweepDataDevice(t *testing.T) {
 			}
 			// The pool is still fully writable after the fault: the failed
 			// request unwound cleanly.
-			if err := r.thin.WriteBlock(20, make([]byte, blockSize)); err != nil {
+			if err := storage.WriteBlocks(r.thin, 20, make([]byte, blockSize)); err != nil {
 				t.Fatalf("%s: write after fault: %v", label, err)
 			}
 			// The post-fault commit makes the whole in-memory state durable

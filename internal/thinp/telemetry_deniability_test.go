@@ -135,7 +135,7 @@ func TestTelemetryDeniabilityTwinPools(t *testing.T) {
 		buf := make([]byte, blockSize)
 		for i := 0; i < n; i++ {
 			buf[0] = byte(i)
-			if err := thin.WriteBlock(uint64(i), buf); err != nil {
+			if err := storage.WriteBlocks(thin, uint64(i), buf); err != nil {
 				t.Fatalf("thin %d write %d: %v", thinID, i, err)
 			}
 		}

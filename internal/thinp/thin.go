@@ -35,17 +35,6 @@ func (t *Thin) SetAffinity(aff int) { t.aff.Store(int64(aff)) }
 // Affinity returns the allocation-shard affinity hint.
 func (t *Thin) Affinity() int { return int(t.aff.Load()) }
 
-var (
-	_ storage.RangeDevice = (*Thin)(nil)
-	_ storage.VecDevice   = (*Thin)(nil)
-
-	_ storage.FlightBlockDevice = (*Thin)(nil)
-	_ storage.FlightRangeDevice = (*Thin)(nil)
-	_ storage.FlightVecDevice   = (*Thin)(nil)
-	_ storage.FlightSyncer      = (*Thin)(nil)
-	_ storage.FlightDiscarder   = (*Thin)(nil)
-)
-
 // ID returns the thin device id.
 func (t *Thin) ID() int { return t.id }
 
@@ -61,93 +50,6 @@ func (t *Thin) NumBlocks() uint64 {
 		return 0
 	}
 	return tm.virtBlocks
-}
-
-// ReadBlock implements storage.Device. It is the single-block case of the
-// vectored read and shares its locking discipline.
-func (t *Thin) ReadBlock(idx uint64, dst []byte) error {
-	if len(dst) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.ReadBlocks(idx, dst)
-}
-
-// WriteBlock implements storage.Device. It is the single-block case of the
-// vectored write and shares its locking discipline.
-func (t *Thin) WriteBlock(idx uint64, src []byte) error {
-	if len(src) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.WriteBlocks(idx, src)
-}
-
-// ReadBlocks implements storage.RangeDevice as the single-segment case of
-// ReadBlocksVec.
-func (t *Thin) ReadBlocks(start uint64, dst []byte) error {
-	return t.ReadBlocksFlight(0, start, dst)
-}
-
-// WriteBlocks implements storage.RangeDevice as the single-segment case of
-// WriteBlocksVec.
-func (t *Thin) WriteBlocks(start uint64, src []byte) error {
-	return t.WriteBlocksFlight(0, start, src)
-}
-
-// ReadBlockFlight implements storage.FlightBlockDevice.
-func (t *Thin) ReadBlockFlight(fid, idx uint64, dst []byte) error {
-	if len(dst) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.ReadBlocksFlight(fid, idx, dst)
-}
-
-// WriteBlockFlight implements storage.FlightBlockDevice.
-func (t *Thin) WriteBlockFlight(fid, idx uint64, src []byte) error {
-	if len(src) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.WriteBlocksFlight(fid, idx, src)
-}
-
-// ReadBlocksFlight implements storage.FlightRangeDevice.
-func (t *Thin) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	v, err := t.vecOf(dst)
-	if err != nil {
-		return err
-	}
-	return t.readBlocksVecF(fid, start, v)
-}
-
-// WriteBlocksFlight implements storage.FlightRangeDevice.
-func (t *Thin) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	v, err := t.vecOf(src)
-	if err != nil {
-		return err
-	}
-	return t.writeBlocksVecF(fid, start, v)
-}
-
-// ReadBlocksVecFlight implements storage.FlightVecDevice.
-func (t *Thin) ReadBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return t.readBlocksVecF(fid, start, v)
-}
-
-// WriteBlocksVecFlight implements storage.FlightVecDevice.
-func (t *Thin) WriteBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return t.writeBlocksVecF(fid, start, v)
-}
-
-// vecOf wraps a flat buffer as a vec. An empty buffer becomes the empty
-// vec (storage.Vec rejects empty segments; an empty range op is a valid
-// no-op that must still surface ErrNoSuchThin through the vec path).
-func (t *Thin) vecOf(buf []byte) (storage.BlockVec, error) {
-	if len(buf)%t.pool.data.BlockSize() != 0 {
-		return storage.BlockVec{}, storage.ErrBadBuffer
-	}
-	if len(buf) == 0 {
-		return storage.BlockVec{}, nil
-	}
-	return storage.VecOne(t.pool.data.BlockSize(), buf), nil
 }
 
 // extent is one physically-resolved run of a virtual range: count
@@ -210,7 +112,7 @@ func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint
 	return tm, n, nil
 }
 
-// ReadBlocksVec implements storage.VecDevice. The pool's shared lock plus
+// ReadVec implements storage.Device. The pool's shared lock plus
 // this thin's stripe (shared) are taken once for the whole vec and held
 // across the data-device reads: the mapping resolution and the transfers it
 // authorizes are atomic against discard/commit, so a physical block can
@@ -220,15 +122,10 @@ func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint
 // stripes proceed in parallel. Physically contiguous extent runs map to
 // sub-vectors of the caller's own segments (Slice shares memory, no bytes
 // move) and go down as single scatter-gather data-device reads; holes
-// zero-fill the destination segments directly.
-func (t *Thin) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return t.readBlocksVecF(0, start, v)
-}
-
-// readBlocksVecF is ReadBlocksVec with flight-id plumbing: the map-resolve
-// stage is recorded once per request after the page-table walk, and the
-// data-device reads carry the id down to the leaf.
-func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
+// zero-fill the destination segments directly. The map-resolve stage is
+// recorded once per request after the page-table walk, and the data-device
+// reads carry the flight id down to the leaf.
+func (t *Thin) ReadVec(fid, start uint64, v storage.BlockVec) error {
 	fid = t.pool.flightID(fid)
 	var extArr [16]extent
 	t.pool.mu.RLock()
@@ -266,7 +163,7 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 				return nil
 			})
 		} else {
-			err = storage.ReadBlocksVecFlight(t.pool.data, fid, e.phys, sub)
+			err = t.pool.data.ReadVec(fid, e.phys, sub)
 		}
 		if err != nil {
 			st.mu.RUnlock()
@@ -294,7 +191,7 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 // but the fallback bounds the loop regardless.
 const writeAttempts = 4
 
-// WriteBlocksVec implements storage.VecDevice. The common paths — pure
+// WriteVec implements storage.Device. The common paths — pure
 // overwrites AND writes that provision — run under the pool's SHARED lock:
 // mapping mutation is serialized by the thin's stripe lock and allocation
 // by the per-shard locks, so concurrent writers to different thins proceed
@@ -310,24 +207,15 @@ const writeAttempts = 4
 // Extent runs map to sub-vectors of the caller's own segments; the data
 // device sees the caller's buffers directly — the thin layer moves no
 // payload bytes.
-// maxSpaceWaits bounds how many waitForSpace rounds one write request may
-// spend queued for reclaim. The bound matters beyond hygiene: a request
-// needing more blocks than the pool holds recovers the pool with its own
-// unwind every round, so without a cap it would retry forever.
-const maxSpaceWaits = 4
-
-func (t *Thin) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return t.writeBlocksVecF(0, start, v)
-}
-
-// writeBlocksVecF is WriteBlocksVec with flight-id plumbing. Stage order
-// per request: provision events (one per hole, from inside allocate) fire
-// on the provisioning pass; map-resolve is recorded exactly once, on the
-// final fully-mapped walk immediately before the transfer — never on a
-// hole-finding walk — so a fresh single-block write traces as
-// [provision, map-resolve, devop], byte-identical to the lifecycle a
-// dummy-write noise block emits (the trace-deniability invariant).
-func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
+//
+// Flight stage order per request: provision events (one per hole, from
+// inside allocate) fire on the provisioning pass; map-resolve is recorded
+// exactly once, on the final fully-mapped walk immediately before the
+// transfer — never on a hole-finding walk — so a fresh single-block write
+// traces as [provision, map-resolve, devop], byte-identical to the
+// lifecycle a dummy-write noise block emits (the trace-deniability
+// invariant).
+func (t *Thin) WriteVec(fid, start uint64, v storage.BlockVec) error {
 	fid = t.pool.flightID(fid)
 	t.pool.mutators.Add(1)
 	defer t.pool.mutators.Add(-1)
@@ -446,13 +334,19 @@ func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 	}
 }
 
+// maxSpaceWaits bounds how many waitForSpace rounds one write request may
+// spend queued for reclaim. The bound matters beyond hygiene: a request
+// needing more blocks than the pool holds recovers the pool with its own
+// unwind every round, so without a cap it would retry forever.
+const maxSpaceWaits = 4
+
 // ReplaceBlock rewrites vblock idx through a fresh provision: the old
 // mapping (if any) is discarded and a new physical block allocated — under
 // the random allocator a uniformly-random free location — before the
 // payload lands there. This is the paper's reallocate-on-write discipline
 // (Sec. IV-B): an overwrite that stayed in place would pin a stable
 // physical address to a hot virtual block across snapshots, and update
-// patterns would leak to a multiple-snapshot adversary. WriteBlock keeps
+// patterns would leak to a multiple-snapshot adversary. WriteVec keeps
 // plain overwrite-in-place semantics for callers that want them;
 // ReplaceBlock is the deniability-preserving rewrite.
 //
@@ -465,15 +359,11 @@ func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 // Failure atomicity is write-like, not transactional: once the old
 // placement is surrendered, an allocation or transfer failure leaves the
 // vblock unmapped (reading zeros) rather than restoring the old data.
-func (t *Thin) ReplaceBlock(idx uint64, src []byte) error {
-	return t.ReplaceBlockFlight(0, idx, src)
-}
-
-// ReplaceBlockFlight is ReplaceBlock with flight-id plumbing: the replace
-// stage marks the reallocate-on-write discipline in the trace, followed by
-// the fresh provision, the resolve of the new placement, and the leaf
-// devop.
-func (t *Thin) ReplaceBlockFlight(fid, idx uint64, src []byte) error {
+//
+// In the flight trace the replace stage marks the reallocate-on-write
+// discipline, followed by the fresh provision, the resolve of the new
+// placement, and the leaf devop.
+func (t *Thin) ReplaceBlock(fid, idx uint64, src []byte) error {
 	p := t.pool
 	if len(src) != p.data.BlockSize() {
 		return storage.ErrBadBuffer
@@ -553,7 +443,7 @@ func (t *Thin) ReplaceBlockFlight(fid, idx uint64, src []byte) error {
 			p.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, 1, obs.ClassNone, 0)
 		}
 		meter := p.opts.Meter
-		werr := storage.WriteBlockFlight(p.data, fid, pb, src)
+		werr := p.data.WriteVec(fid, pb, storage.VecOne(p.data.BlockSize(), src))
 		st.mu.RUnlock()
 		unlock()
 		if werr != nil {
@@ -627,7 +517,7 @@ func (t *Thin) writeExtentsLocked(fid uint64, v storage.BlockVec, exts []extent)
 	off := 0
 	done := uint64(0) // blocks whose data reached the device
 	for _, e := range exts {
-		werr := storage.WriteBlocksVecFlight(t.pool.data, fid, e.phys, v.Slice(off, e.count))
+		werr := t.pool.data.WriteVec(fid, e.phys, v.Slice(off, e.count))
 		if werr != nil {
 			var pe *storage.PartialError
 			if errors.As(werr, &pe) {
@@ -659,31 +549,18 @@ func (t *Thin) unwindFresh(fresh []uint64, landedBelow uint64) {
 	t.pool.mu.Unlock()
 }
 
-// Discard unmaps virtual block idx, freeing its physical block (the TRIM
-// analogue the garbage collector uses to reclaim dummy space).
-func (t *Thin) Discard(idx uint64) error {
-	return t.DiscardRange(idx, 1)
-}
-
-// DiscardRange unmaps the count virtual blocks starting at start, freeing
-// their physical blocks — the vectored TRIM the garbage collector issues
-// when it reclaims a run of dummy space. The whole range is processed under
-// one stripe-lock acquisition, the same economics the read/write range ops
-// get from bio merging — and like them it runs on the fine-grained path
-// (pool read lock + the thin's stripe lock + shard locks for the frees), so
-// discards on one thin never stall writers of other stripes, and the
-// canonical discard-then-rewrite cycle stays parallel end to end.
-// Unprovisioned blocks in the range are no-ops.
-func (t *Thin) DiscardRange(start, count uint64) error {
-	return t.DiscardFlight(0, start, count)
-}
-
-// DiscardFlight implements storage.FlightDiscarder. The discard itself
-// records no thinp stage — the unmap mutates metadata only, and the I/O
-// scheduler above already records the request's D/C lifecycle — but the
-// id is accepted so a traced discard traverses the same code path as an
-// untraced one.
-func (t *Thin) DiscardFlight(_, start, count uint64) error {
+// Discard implements storage.Device: it unmaps the count virtual blocks
+// starting at start, freeing their physical blocks — the vectored TRIM the
+// garbage collector issues when it reclaims a run of dummy space. The whole
+// range is processed under one stripe-lock acquisition, the same economics
+// the read/write paths get from bio merging — and like them it runs on the
+// fine-grained path (pool read lock + the thin's stripe lock + shard locks
+// for the frees), so discards on one thin never stall writers of other
+// stripes, and the canonical discard-then-rewrite cycle stays parallel end
+// to end. Unprovisioned blocks in the range are no-ops. The discard records
+// no thinp flight stage — the unmap mutates metadata only, and the I/O
+// scheduler above already records the request's D/C lifecycle.
+func (t *Thin) Discard(_, start, count uint64) error {
 	p := t.pool
 	p.mutators.Add(1)
 	defer p.mutators.Add(-1)
@@ -729,18 +606,13 @@ func (t *Thin) DiscardFlight(_, start, count uint64) error {
 }
 
 // Sync implements storage.Device: flushes the data device and commits pool
-// metadata, matching dm-thin's REQ_FLUSH handling.
-func (t *Thin) Sync() error {
-	return t.SyncFlight(0)
-}
-
-// SyncFlight implements storage.FlightSyncer: the data flush records a
+// metadata, matching dm-thin's REQ_FLUSH handling. The data flush records a
 // leaf devop under the request's id, and the metadata commit records the
 // commit-join/commit-flip pair — so a traced Flush shows exactly which
 // group-commit round absorbed it and how long the door held.
-func (t *Thin) SyncFlight(fid uint64) error {
+func (t *Thin) Sync(fid uint64) error {
 	fid = t.pool.flightID(fid)
-	if err := storage.SyncFlight(t.pool.data, fid); err != nil {
+	if err := t.pool.data.Sync(fid); err != nil {
 		return err
 	}
 	return t.pool.CommitFlight(fid)

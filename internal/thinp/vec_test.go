@@ -85,21 +85,21 @@ func TestVecMatchesFlatThin(t *testing.T) {
 						t.Fatal(err)
 					}
 					// Flat on pool A...
-					if err := ta.WriteBlocks(start, buf); err != nil {
+					if err := storage.WriteBlocks(ta, start, buf); err != nil {
 						t.Fatalf("WriteBlocks: %v", err)
 					}
 					// ...scatter-gather on pool B, random segmentation.
-					if err := tb.WriteBlocksVec(start, vecOver(src, buf)); err != nil {
-						t.Fatalf("WriteBlocksVec: %v", err)
+					if err := tb.WriteVec(0, start, vecOver(src, buf)); err != nil {
+						t.Fatalf("WriteVec: %v", err)
 					}
 				} else {
 					gotA := make([]byte, n*blockSize)
-					if err := ta.ReadBlocks(start, gotA); err != nil {
+					if err := storage.ReadBlocks(ta, start, gotA); err != nil {
 						t.Fatalf("ReadBlocks: %v", err)
 					}
 					gotB := make([]byte, n*blockSize)
-					if err := tb.ReadBlocksVec(start, vecOver(src, gotB)); err != nil {
-						t.Fatalf("ReadBlocksVec: %v", err)
+					if err := tb.ReadVec(0, start, vecOver(src, gotB)); err != nil {
+						t.Fatalf("ReadVec: %v", err)
 					}
 					if !bytes.Equal(gotA, gotB) {
 						t.Fatalf("read mismatch at %d (%d blocks)", start, n)
@@ -136,10 +136,10 @@ func TestVecMatchesFlatThin(t *testing.T) {
 			// Full-volume reads agree.
 			gotA := make([]byte, virt*blockSize)
 			gotB := make([]byte, virt*blockSize)
-			if err := ta.ReadBlocks(0, gotA); err != nil {
+			if err := storage.ReadBlocks(ta, 0, gotA); err != nil {
 				t.Fatal(err)
 			}
-			if err := tb.ReadBlocksVec(0, vecOver(src, gotB)); err != nil {
+			if err := tb.ReadVec(0, 0, vecOver(src, gotB)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotA, gotB) {
@@ -182,7 +182,7 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 	}
 	v := storage.Vec(blockSize, payload[:2*blockSize], payload[2*blockSize:6*blockSize], payload[6*blockSize:])
 	fd.FailWritesAfter(5)
-	werr := thin.WriteBlocksVec(4, v)
+	werr := thin.WriteVec(0, 4, v)
 	var pe *storage.PartialError
 	if !errors.As(werr, &pe) {
 		t.Fatalf("error %v, want PartialError", werr)
@@ -200,7 +200,7 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 	}
 	fd.Disarm()
 	got := make([]byte, 8*blockSize)
-	if err := thin.ReadBlocksVec(4, storage.Vec(blockSize, got[:3*blockSize], got[3*blockSize:])); err != nil {
+	if err := thin.ReadVec(0, 4, storage.Vec(blockSize, got[:3*blockSize], got[3*blockSize:])); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:5*blockSize], payload[:5*blockSize]) {
@@ -240,7 +240,7 @@ func TestNoiseStaging(t *testing.T) {
 	}
 	// First provisioning write: the stage is stocked on the way in, and
 	// the burst (count=4) consumes from it.
-	if err := thin.WriteBlock(0, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.StagedNoiseBlocks(); got != noiseStageTarget-4 {
@@ -250,7 +250,7 @@ func TestNoiseStaging(t *testing.T) {
 		t.Fatalf("dummy blocks=%d, want 4", got)
 	}
 	// The next provisioning write tops the stage back up before consuming.
-	if err := thin.WriteBlock(1, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 1, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.StagedNoiseBlocks(); got != noiseStageTarget-4 {
@@ -273,7 +273,7 @@ func TestNoiseStaging(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, vb := range vbs {
 		buf := make([]byte, blockSize)
-		if err := tgt.ReadBlock(vb, buf); err != nil {
+		if err := storage.ReadBlocks(tgt, vb, buf); err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Equal(buf, zero) {
@@ -287,7 +287,7 @@ func TestNoiseStaging(t *testing.T) {
 
 	// Overwrites (no provisioning) do not touch the stage.
 	before := p.StagedNoiseBlocks()
-	if err := thin.WriteBlock(0, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.StagedNoiseBlocks(); got != before {
@@ -303,7 +303,7 @@ func TestNoiseStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.WriteBlock(0, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(t2, 0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p2.StagedNoiseBlocks(); got != 0 {

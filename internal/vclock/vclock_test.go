@@ -148,11 +148,11 @@ func TestCostDeviceChargesMeter(t *testing.T) {
 	d := NewCostDevice(mem, m)
 
 	buf := make([]byte, 4096)
-	if err := d.WriteBlock(0, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := storage.WriteBlocks(d, 0, buf); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
 	}
-	if err := d.ReadBlock(0, buf); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
+	if err := storage.ReadBlocks(d, 0, buf); err != nil {
+		t.Fatalf("ReadBlocks: %v", err)
 	}
 	if c.Now() == 0 {
 		t.Fatal("cost device charged nothing")
@@ -167,7 +167,7 @@ func TestCostDeviceDoesNotChargeFailedIO(t *testing.T) {
 	m := NewMeter(&c, Profile{RandWritePenalty: time.Second})
 	d := NewCostDevice(storage.NewMemDevice(4096, 2), m)
 	buf := make([]byte, 4096)
-	if err := d.WriteBlock(5, buf); err == nil {
+	if err := storage.WriteBlocks(d, 5, buf); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if c.Now() != 0 {

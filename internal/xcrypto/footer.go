@@ -1,6 +1,7 @@
 package xcrypto
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
@@ -149,7 +150,8 @@ func (f *Footer) Marshal() []byte {
 	return out
 }
 
-// UnmarshalFooter parses a footer region produced by Marshal.
+// UnmarshalFooter parses a footer region produced by Marshal. Any region
+// it accepts re-marshals to the same header bytes.
 func UnmarshalFooter(data []byte) (*Footer, error) {
 	if len(data) < footerHeaderLen {
 		return nil, fmt.Errorf("%w: region too short (%d bytes)", ErrBadFooter, len(data))
@@ -168,9 +170,12 @@ func UnmarshalFooter(data []byte) (*Footer, error) {
 		return nil, fmt.Errorf("%w: unsupported key size %d", ErrBadFooter, keySize)
 	}
 	ct := data[24:88]
-	end := 0
-	for end < len(ct) && ct[end] != 0 {
-		end++
+	end := bytes.IndexByte(ct, 0)
+	if end < 0 {
+		end = len(ct)
+	}
+	if len(bytes.TrimRight(ct[end:], "\x00")) != 0 {
+		return nil, fmt.Errorf("%w: crypto type not NUL-padded", ErrBadFooter)
 	}
 	f.CryptoType = string(ct[:end])
 	copy(f.WrappedKey[:], data[88:])
@@ -196,7 +201,7 @@ func WriteFooter(dev storage.Device, f *Footer) error {
 	padded := make([]byte, int(nb)*dev.BlockSize())
 	copy(padded, data)
 	start := dev.NumBlocks() - nb
-	if err := storage.WriteFull(dev, start, padded); err != nil {
+	if err := storage.WriteBlocks(dev, start, padded); err != nil {
 		return fmt.Errorf("xcrypto: writing footer: %w", err)
 	}
 	return nil
